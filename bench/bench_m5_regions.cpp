@@ -11,7 +11,9 @@
 // 25% changed blocks beats full feature extraction. The splice side pays
 // its whole honest pipeline — block diff against the keyframe, dirty-mask
 // propagation, then the partial conv — while the full side pays only
-// prepare + forward.
+// prepare + forward. The "MAC model" column is the speedup the regions
+// rung's simulated cost assumes (1 / ForwardPlan::splice_mac_share of the
+// propagated dirty masks), printed beside the measured one.
 //
 // Part 2 runs a live MultiObjectStream (per-slot Poisson changes, camera
 // jitter and sensor noise) through the real BlockKeyframeTracker +
@@ -23,6 +25,7 @@
 // Emits BENCH_regions.json (path = first non-flag arg); --smoke shrinks
 // the iteration counts for CI.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -85,8 +88,15 @@ Image perturb_blocks(const Image& frame, int grid,
 struct SweepPoint {
   double full_ns = 0.0;
   double splice_ns = 0.0;
+  double mac_share = 0.0;  ///< the regions rung's simulated cost share
   bool identical = true;
 };
+
+double dirty_fraction(const std::vector<std::uint8_t>& mask) {
+  std::size_t n = 0;
+  for (const std::uint8_t v : mask) n += (v != 0);
+  return static_cast<double>(n) / static_cast<double>(mask.size());
+}
 
 /// Times full extraction vs the honest splice pipeline (block diff +
 /// mask propagation + partial forward) for exactly `k` changed blocks.
@@ -123,23 +133,35 @@ SweepPoint sweep_point(const MiniCnn& cnn, const Image& keyframe, int grid,
   // Warm both paths (scratch high-water marks, branch predictors).
   cnn.embed_into(current, state, full_out);
 
-  const auto f0 = Clock::now();
-  for (int i = 0; i < iters; ++i) cnn.embed_into(current, state, full_out);
-  point.full_ns = ns_since(f0) / iters;
+  // The two sides alternate in short rounds, so drift in the host's speed
+  // weighs on both alike.
+  constexpr int kRounds = 20;
+  const int per_round = std::max(1, iters / kRounds);
+  for (int round = 0; round < kRounds; ++round) {
+    const auto f0 = Clock::now();
+    for (int i = 0; i < per_round; ++i) {
+      cnn.embed_into(current, state, full_out);
+    }
+    point.full_ns += ns_since(f0);
 
-  const auto s0 = Clock::now();
-  for (int i = 0; i < iters; ++i) {
-    matcher.classify(current, classified);
-    acts.block_to_pixel_mask(classified, MiniCnn::kInputSide, input_mask);
-    MiniCnn::propagate_dirty(input_mask, plan.input.width, plan.input.height,
-                             stage1_mask);
-    MiniCnn::propagate_dirty(stage1_mask, plan.stage1.width,
-                             plan.stage1.height, stage2_mask);
-    cnn.prepare_input(current, state);
-    cnn.forward_spliced(state, acts.stage1(), acts.stage2(), stage1_mask,
-                        stage2_mask, splice_out);
+    const auto s0 = Clock::now();
+    for (int i = 0; i < per_round; ++i) {
+      matcher.classify(current, classified);
+      acts.block_to_pixel_mask(classified, MiniCnn::kInputSide, input_mask);
+      MiniCnn::propagate_dirty(input_mask, plan.input.width,
+                               plan.input.height, stage1_mask);
+      MiniCnn::propagate_dirty(stage1_mask, plan.stage1.width,
+                               plan.stage1.height, stage2_mask);
+      cnn.prepare_input(current, state);
+      cnn.forward_spliced(state, acts.stage1(), acts.stage2(), stage1_mask,
+                          stage2_mask, splice_out);
+    }
+    point.splice_ns += ns_since(s0);
   }
-  point.splice_ns = ns_since(s0) / iters;
+  point.full_ns /= kRounds * per_round;
+  point.splice_ns /= kRounds * per_round;
+  point.mac_share = plan.splice_mac_share(dirty_fraction(stage1_mask),
+                                          dirty_fraction(stage2_mask));
   point.identical = point.identical && (splice_out == full_out);
   return point;
 }
@@ -252,7 +274,7 @@ int main(int argc, char** argv) {
   BenchJson json{"m5_regions", cnn.dim(), static_cast<std::size_t>(iters)};
   TextTable table;
   table.header({"grid", "changed", "full ns/frame", "splice ns/frame",
-                "speedup", "identical"});
+                "speedup", "MAC model", "identical"});
   bool all_identical = true;
   const double fracs[] = {0.0, 0.25, 0.5, 1.0};
   for (const int grid : {2, 4, 8}) {
@@ -269,6 +291,7 @@ int main(int argc, char** argv) {
                  std::to_string(k) + "/" + std::to_string(total),
                  TextTable::num(p.full_ns, 0), TextTable::num(p.splice_ns, 0),
                  TextTable::num(p.full_ns / p.splice_ns, 2),
+                 TextTable::num(1.0 / p.mac_share, 2),
                  p.identical ? "yes" : "NO"});
     }
   }

@@ -111,11 +111,9 @@ void RegionsRung::run(ReusePipeline& host) {
     const double f2 =
         static_cast<double>(count_set(stage2_mask_)) /
         (static_cast<double>(plan.stage2.width) * plan.stage2.height);
-    const double mac_share =
-        (plan.conv_macs[0] * f1 + plan.conv_macs[1] * f2 + plan.conv_macs[2]) /
-        plan.total_macs();
     cost += static_cast<SimDuration>(
-        static_cast<double>(extractor_->latency()) * mac_share);
+        static_cast<double>(extractor_->latency()) *
+        plan.splice_mac_share(f1, f2));
   }
   host.spend(cost);
   host.schedule(cost, [this, &host] { complete(host); });

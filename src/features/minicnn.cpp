@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "src/features/extractor.hpp"
@@ -10,13 +11,60 @@
 namespace apx {
 namespace {
 
-void init_conv(Rng& rng, int in_ch, int out_ch, MiniCnn* /*unused*/,
-               std::vector<float>& weights, std::vector<float>& bias) {
-  // He-style initialization keeps activations in a sane range through depth.
-  const double stddev = std::sqrt(2.0 / (9.0 * in_ch));
-  weights.resize(static_cast<std::size_t>(out_ch) * in_ch * 9);
-  for (float& w : weights) w = static_cast<float>(rng.normal(0.0, stddev));
-  bias.assign(static_cast<std::size_t>(out_ch), 0.0f);
+// Four output channels per SIMD register (GNU vector extension, gcc/clang).
+using Lanes = float __attribute__((vector_size(16)));
+constexpr int kLanes = 4;
+
+// The one conv reduction: conv3x3 + ReLU outputs [x0, x1) of row `y`, all
+// OC channels of a pixel at once: acc[oc] = bias[oc], then acc[oc] +=
+// in[tap][ic] * w[tap][ic][oc] over (ky, kx, ic), the scalar loop's order
+// vectorized across oc. With -ffp-contract=off (src/CMakeLists.txt) no FMA
+// fuses a step, so every caller gets the same bits. The compile-time shape
+// keeps the accumulators in registers; only border pixels clamp.
+template <int IC, int OC>
+void conv_row(const float* in, int width, int height, const float* weights,
+              const float* bias, int y, int x0, int x1, float* out) {
+  constexpr int kVecs = OC / kLanes;
+  const float* rows[3];
+  for (int k = 0; k < 3; ++k) {
+    const int sy = std::clamp(y + k - 1, 0, height - 1);
+    rows[k] = in + static_cast<std::size_t>(sy) * width * IC;
+  }
+  const auto pixel = [&](int x, int left, int right) {
+    const int cols[3] = {left * IC, x * IC, right * IC};
+    Lanes acc[kVecs];
+    std::memcpy(acc, bias, sizeof(acc));
+    const float* w = weights;
+    for (int ky = 0; ky < 3; ++ky) {
+      for (int kx = 0; kx < 3; ++kx) {
+        const float* src = rows[ky] + cols[kx];
+        for (int ic = 0; ic < IC; ++ic) {
+          for (int v = 0; v < kVecs; ++v, w += kLanes) {
+            Lanes wv;
+            std::memcpy(&wv, w, sizeof(wv));
+            acc[v] += src[ic] * wv;
+          }
+        }
+      }
+    }
+    float* dst = out + static_cast<std::size_t>(x - x0) * OC;
+    std::memcpy(dst, acc, sizeof(acc));
+    for (int oc = 0; oc < OC; ++oc) dst[oc] = std::max(dst[oc], 0.0f);
+  };
+  const int interior_begin = std::min(std::max(x0, 1), x1);
+  const int interior_end = std::min(x1, width - 1);
+  int x = x0;
+  for (; x < interior_begin; ++x) pixel(x, 0, std::min(1, width - 1));
+  for (; x < interior_end; ++x) pixel(x, x - 1, x + 1);
+  for (; x < x1; ++x) pixel(x, std::max(x - 1, 0), width - 1);
+}
+
+// Max over a 2x2 pool window; `top` and `bottom` hold two conv pixels each.
+void pool_window(const float* top, const float* bottom, std::size_t ch,
+                 float* out) {
+  for (std::size_t c = 0; c < ch; ++c) {
+    out[c] = std::max({-1e30f, top[c], top[ch + c], bottom[c], bottom[ch + c]});
+  }
 }
 
 void check_size(const MiniCnn::Tensor& t, const MiniCnn::StageShape& shape,
@@ -28,6 +76,22 @@ void check_size(const MiniCnn::Tensor& t, const MiniCnn::StageShape& shape,
 }
 
 }  // namespace
+
+template <int IC, int OC>
+MiniCnn::ConvLayer MiniCnn::make_conv(Rng& rng) {
+  // He-style initialization keeps activations in a sane range through depth.
+  // Draw i is weight [oc][ic][tap] = [i / 9IC][i / 9 % IC][i % 9], stored
+  // at its tap-major slot.
+  const double stddev = std::sqrt(2.0 / (9.0 * IC));
+  ConvLayer layer{OC, std::vector<float>(9 * IC * OC),
+                  std::vector<float>(OC, 0.0f), &conv_row<IC, OC>};
+  for (int i = 0; i < 9 * IC * OC; ++i) {
+    layer.weights[static_cast<std::size_t>((i % 9 * IC + i / 9 % IC) * OC +
+                                           i / (9 * IC))] =
+        static_cast<float>(rng.normal(0.0, stddev));
+  }
+  return layer;
+}
 
 const MiniCnn::ForwardPlan& MiniCnn::plan() noexcept {
   static const ForwardPlan p = [] {
@@ -50,15 +114,9 @@ const MiniCnn::ForwardPlan& MiniCnn::plan() noexcept {
 MiniCnn::MiniCnn(std::size_t dim, std::uint64_t seed) : dim_(dim) {
   if (dim == 0) throw std::invalid_argument("MiniCnn: dim == 0");
   Rng rng{seed};
-  conv1_.in_channels = 3;
-  conv1_.out_channels = 8;
-  init_conv(rng, 3, 8, this, conv1_.weights, conv1_.bias);
-  conv2_.in_channels = 8;
-  conv2_.out_channels = 16;
-  init_conv(rng, 8, 16, this, conv2_.weights, conv2_.bias);
-  conv3_.in_channels = 16;
-  conv3_.out_channels = 32;
-  init_conv(rng, 16, 32, this, conv3_.weights, conv3_.bias);
+  conv1_ = make_conv<3, 8>(rng);
+  conv2_ = make_conv<8, 16>(rng);
+  conv3_ = make_conv<16, 32>(rng);
 
   const double fc_stddev = std::sqrt(2.0 / 32.0);
   fc_weights_.resize(dim * 32);
@@ -77,33 +135,14 @@ std::size_t MiniCnn::parameter_count() const noexcept {
 void MiniCnn::conv3x3_relu_into(const Tensor& in, int width, int height,
                                 const ConvLayer& layer, ThreadPool* pool,
                                 Tensor& out) {
-  const int in_ch = layer.in_channels;
-  const int out_ch = layer.out_channels;
-  out.resize(static_cast<std::size_t>(width) * height * out_ch);
+  const std::size_t row_floats = static_cast<std::size_t>(width) *
+                                 static_cast<std::size_t>(layer.out_channels);
+  out.resize(row_floats * static_cast<std::size_t>(height));
   auto rows = [&](std::size_t y_begin, std::size_t y_end) {
-    for (int y = static_cast<int>(y_begin); y < static_cast<int>(y_end); ++y) {
-    for (int x = 0; x < width; ++x) {
-      for (int oc = 0; oc < out_ch; ++oc) {
-        float acc = layer.bias[static_cast<std::size_t>(oc)];
-        for (int ky = -1; ky <= 1; ++ky) {
-          const int sy = std::clamp(y + ky, 0, height - 1);
-          for (int kx = -1; kx <= 1; ++kx) {
-            const int sx = std::clamp(x + kx, 0, width - 1);
-            const std::size_t in_base =
-                (static_cast<std::size_t>(sy) * width + sx) * in_ch;
-            const std::size_t w_base =
-                ((static_cast<std::size_t>(oc) * in_ch) * 9) +
-                static_cast<std::size_t>((ky + 1) * 3 + (kx + 1));
-            for (int ic = 0; ic < in_ch; ++ic) {
-              acc += in[in_base + static_cast<std::size_t>(ic)] *
-                     layer.weights[w_base + static_cast<std::size_t>(ic) * 9];
-            }
-          }
-        }
-        out[(static_cast<std::size_t>(y) * width + x) * out_ch +
-            static_cast<std::size_t>(oc)] = std::max(acc, 0.0f);
-      }
-    }
+    for (std::size_t y = y_begin; y < y_end; ++y) {
+      layer.row(in.data(), width, height, layer.weights.data(),
+                layer.bias.data(), static_cast<int>(y), 0, width,
+                out.data() + y * row_floats);
     }
   };
   if (pool != nullptr && pool->size() > 0 && height >= 8) {
@@ -119,54 +158,11 @@ void MiniCnn::conv3x3_relu_into(const Tensor& in, int width, int height,
 void MiniCnn::maxpool2_into(const Tensor& in, int width, int height,
                             int channels, Tensor& out) {
   const int ow = width / 2;
-  const int oh = height / 2;
-  out.resize(static_cast<std::size_t>(ow) * oh * channels);
-  for (int y = 0; y < oh; ++y) {
-    for (int x = 0; x < ow; ++x) {
-      for (int c = 0; c < channels; ++c) {
-        float m = -1e30f;
-        for (int dy = 0; dy < 2; ++dy) {
-          for (int dx = 0; dx < 2; ++dx) {
-            const std::size_t idx =
-                (static_cast<std::size_t>(y * 2 + dy) * width + (x * 2 + dx)) *
-                    channels +
-                static_cast<std::size_t>(c);
-            m = std::max(m, in[idx]);
-          }
-        }
-        out[(static_cast<std::size_t>(y) * ow + x) * channels +
-            static_cast<std::size_t>(c)] = m;
-      }
-    }
-  }
-}
-
-void MiniCnn::conv_pixel(const Tensor& in, int width, int height,
-                         const ConvLayer& layer, int x, int y,
-                         std::span<float> out) {
-  const int in_ch = layer.in_channels;
-  const int out_ch = layer.out_channels;
-  // Same accumulation sequence per scalar as conv3x3_relu_into: the builds
-  // carry no FMA contraction or arch-specific flags, so replaying the order
-  // reproduces the full pass bit for bit.
-  for (int oc = 0; oc < out_ch; ++oc) {
-    float acc = layer.bias[static_cast<std::size_t>(oc)];
-    for (int ky = -1; ky <= 1; ++ky) {
-      const int sy = std::clamp(y + ky, 0, height - 1);
-      for (int kx = -1; kx <= 1; ++kx) {
-        const int sx = std::clamp(x + kx, 0, width - 1);
-        const std::size_t in_base =
-            (static_cast<std::size_t>(sy) * width + sx) * in_ch;
-        const std::size_t w_base =
-            ((static_cast<std::size_t>(oc) * in_ch) * 9) +
-            static_cast<std::size_t>((ky + 1) * 3 + (kx + 1));
-        for (int ic = 0; ic < in_ch; ++ic) {
-          acc += in[in_base + static_cast<std::size_t>(ic)] *
-                 layer.weights[w_base + static_cast<std::size_t>(ic) * 9];
-        }
-      }
-    }
-    out[static_cast<std::size_t>(oc)] = std::max(acc, 0.0f);
+  const std::size_t ch = static_cast<std::size_t>(channels);
+  out.resize(static_cast<std::size_t>(ow) * (height / 2) * ch);
+  for (std::size_t i = 0; i < out.size() / ch; ++i) {
+    const float* top = in.data() + ((i / ow) * 2 * width + (i % ow) * 2) * ch;
+    pool_window(top, top + width * ch, ch, out.data() + i * ch);
   }
 }
 
@@ -175,31 +171,18 @@ void MiniCnn::recompute_pooled(const Tensor& in, int in_width, int in_height,
                                std::span<const std::uint8_t> mask,
                                Tensor& stage) {
   const int ow = in_width / 2;
-  const int oh = in_height / 2;
-  const int ch = layer.out_channels;
-  std::array<std::array<float, 32>, 4> window;  // 2x2 conv pixels, all oc
-  for (int py = 0; py < oh; ++py) {
-    for (int px = 0; px < ow; ++px) {
-      if (mask[static_cast<std::size_t>(py) * ow + px] == 0) continue;
-      for (int dy = 0; dy < 2; ++dy) {
-        for (int dx = 0; dx < 2; ++dx) {
-          conv_pixel(in, in_width, in_height, layer, px * 2 + dx, py * 2 + dy,
-                     {window[static_cast<std::size_t>(dy * 2 + dx)].data(),
-                      static_cast<std::size_t>(ch)});
-        }
-      }
-      for (int c = 0; c < ch; ++c) {
-        float m = -1e30f;
-        for (int dy = 0; dy < 2; ++dy) {
-          for (int dx = 0; dx < 2; ++dx) {
-            m = std::max(m, window[static_cast<std::size_t>(dy * 2 + dx)]
-                                  [static_cast<std::size_t>(c)]);
-          }
-        }
-        stage[(static_cast<std::size_t>(py) * ow + px) * ch +
-              static_cast<std::size_t>(c)] = m;
-      }
+  const std::size_t ch = static_cast<std::size_t>(layer.out_channels);
+  std::array<float, 4 * 32> window;  // 2x2 conv pixels, all oc each
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (mask[i] == 0) continue;
+    const int x = static_cast<int>(i % ow) * 2;
+    const int y = static_cast<int>(i / ow) * 2;
+    for (int dy = 0; dy < 2; ++dy) {
+      layer.row(in.data(), in_width, in_height, layer.weights.data(),
+                layer.bias.data(), y + dy, x, x + 2, &window[dy * 2 * ch]);
     }
+    pool_window(window.data(), window.data() + 2 * ch, ch,
+                stage.data() + i * ch);
   }
 }
 
@@ -236,12 +219,11 @@ void MiniCnn::prepare_input(const Image& img, ForwardState& state) const {
   }
   // Expand grayscale to 3 channels.
   state.input.resize(static_cast<std::size_t>(kInputSide) * kInputSide * 3);
+  float* dst = state.input.data();
   for (int y = 0; y < kInputSide; ++y) {
     for (int x = 0; x < kInputSide; ++x) {
       for (int c = 0; c < 3; ++c) {
-        state.input[(static_cast<std::size_t>(y) * kInputSide + x) * 3 +
-                    static_cast<std::size_t>(c)] =
-            src->at(x, y, std::min(c, src->channels() - 1));
+        *dst++ = src->at(x, y, std::min(c, src->channels() - 1));
       }
     }
   }
@@ -325,12 +307,8 @@ void MiniCnn::head(ForwardState& state, FeatureVec& out) const {
   // Global average pool.
   state.pooled.assign(32, 0.0f);
   const int pixels = p.stage3.width * p.stage3.height;
-  for (int px = 0; px < pixels; ++px) {
-    for (int c = 0; c < 32; ++c) {
-      state.pooled[static_cast<std::size_t>(c)] +=
-          state.stage3[static_cast<std::size_t>(px) * 32 +
-                       static_cast<std::size_t>(c)];
-    }
+  for (std::size_t i = 0; i < state.stage3.size(); ++i) {
+    state.pooled[i % 32] += state.stage3[i];
   }
   for (float& v : state.pooled) v /= static_cast<float>(pixels);
 

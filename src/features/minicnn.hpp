@@ -20,6 +20,10 @@
 // conv work for unchanged image blocks. embed()/embed_batch() are thin
 // wrappers over the same staged path, so the monolithic and staged results
 // are the same code, not merely equal.
+//
+// Conv weights are stored once, tap-major [ky*3+kx][in][out], beside one
+// kernel per layer shape that computes all output channels of a pixel at
+// once; the full and the spliced pass share it, so their pixels match.
 
 #include <array>
 #include <cstdint>
@@ -31,6 +35,8 @@
 #include "src/util/vecmath.hpp"
 
 namespace apx {
+
+class Rng;
 
 /// Deterministic random-weight CNN used as an embedding function.
 class MiniCnn {
@@ -62,6 +68,12 @@ class MiniCnn {
     std::array<double, 3> conv_macs{};  ///< full-resolution MACs per conv
     double total_macs() const noexcept {
       return conv_macs[0] + conv_macs[1] + conv_macs[2];
+    }
+    /// Share of total_macs() a spliced pass computes with fractions f1 / f2
+    /// of stage-1 / stage-2 pixels dirty: the regions rung's cost model.
+    double splice_mac_share(double f1, double f2) const noexcept {
+      return (conv_macs[0] * f1 + conv_macs[1] * f2 + conv_macs[2]) /
+             total_macs();
     }
   };
 
@@ -130,7 +142,7 @@ class MiniCnn {
   /// (8x8) come from propagate_dirty over the changed input pixels. With an
   /// empty stage-1 mask the pass resumes at conv3 from the cached stage-2
   /// tensor. state.input must hold the current frame (prepare_input). The
-  /// recomputation replays the full conv's per-pixel accumulation order, so
+  /// recomputation runs the full conv's kernel on the dirty pixels, so
   /// the result is bit-identical to forward(state, 0, ...) whenever every
   /// pixel that actually differs from the cached frame is flagged.
   /// On return state.stage1/stage2/stage3 hold the complete (spliced +
@@ -156,22 +168,21 @@ class MiniCnn {
 
  private:
   struct ConvLayer {
-    int in_channels = 0;
     int out_channels = 0;
-    std::vector<float> weights;  // [out][in][3][3]
+    std::vector<float> weights;  // tap-major [ky*3+kx][in][out]
     std::vector<float> bias;     // [out]
+    // The shape's kernel: (in, width, height, weights, bias, y, x0, x1, out).
+    void (*row)(const float*, int, int, const float*, const float*, int, int,
+                int, float*) = nullptr;
   };
 
+  template <int IC, int OC>
+  static ConvLayer make_conv(Rng& rng);
   static void conv3x3_relu_into(const Tensor& in, int width, int height,
                                 const ConvLayer& layer, ThreadPool* pool,
                                 Tensor& out);
   static void maxpool2_into(const Tensor& in, int width, int height,
                             int channels, Tensor& out);
-  /// All output channels of one conv output pixel, replaying the full
-  /// conv's accumulation order exactly (bit-identity of recomputed pixels).
-  static void conv_pixel(const Tensor& in, int width, int height,
-                         const ConvLayer& layer, int x, int y,
-                         std::span<float> out);
   /// Recomputes the flagged pooled pixels of a conv+pool stage in place.
   static void recompute_pooled(const Tensor& in, int in_width, int in_height,
                                const ConvLayer& layer,

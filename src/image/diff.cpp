@@ -6,7 +6,10 @@
 namespace apx {
 
 Image downsample_gray(const Image& frame, int side) {
-  return frame.to_gray().resized(side, side);
+  Image gray = frame.to_gray();
+  // A same-size resize changes finite pixels at most in the sign of zero.
+  if (gray.width() == side && gray.height() == side) return gray;
+  return gray.resized(side, side);
 }
 
 void block_mean_abs_diff(const Image& a, const Image& b, int grid,

@@ -67,18 +67,20 @@ SceneGenerator::ClassTexture SceneGenerator::make_texture(Rng& rng,
   return tex;
 }
 
-float SceneGenerator::sample_texture(const ClassTexture& tex, float u, float v,
-                                     int channel) const {
-  float value = 0.5f;
+std::array<float, 3> SceneGenerator::sample_texture(const ClassTexture& tex,
+                                                   float u, float v) const {
+  // Each sin/exp term is channel-independent: evaluate once, add per channel.
+  std::array<float, 3> value{0.5f, 0.5f, 0.5f};
   for (const auto& comp : tex.components) {
-    value += comp.amp[channel] *
-             std::sin(comp.fx * u + comp.fy * v + comp.phase);
+    const float s = std::sin(comp.fx * u + comp.fy * v + comp.phase);
+    for (int c = 0; c < cfg_.channels; ++c) value[c] += comp.amp[c] * s;
   }
   for (const auto& blob : tex.blobs) {
     const float du = u - blob.cx;
     const float dv = v - blob.cy;
     const float r2 = blob.radius * blob.radius;
-    value += blob.color[channel] * std::exp(-(du * du + dv * dv) / (2.0f * r2));
+    const float e = std::exp(-(du * du + dv * dv) / (2.0f * r2));
+    for (int c = 0; c < cfg_.channels; ++c) value[c] += blob.color[c] * e;
   }
   return value;
 }
@@ -108,9 +110,13 @@ Image SceneGenerator::render(int class_id, const ViewParams& view) const {
           ((static_cast<float>(y) / static_cast<float>(n)) * 2.0f - 1.0f) *
               inv_zoom +
           view.dy;
+      const std::array<float, 3> own_value = sample_texture(own, u, v);
+      // At mix == 0 the group term adds only a signed zero, which the
+      // `- 0.5f` below erases, so any finite stand-in gives the same pixel.
+      const std::array<float, 3> group_value =
+          mix > 0.0f ? sample_texture(group, u, v) : own_value;
       for (int c = 0; c < cfg_.channels; ++c) {
-        float value = (1.0f - mix) * sample_texture(own, u, v, c) +
-                      mix * sample_texture(group, u, v, c);
+        float value = (1.0f - mix) * own_value[c] + mix * group_value[c];
         value = (value - 0.5f) * view.contrast + 0.5f + view.brightness;
         if (view.noise_sigma > 0.0f) {
           value += static_cast<float>(

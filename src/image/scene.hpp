@@ -11,6 +11,7 @@
 //     groups when `class_confusion > 0`, which deliberately recreates the
 //     hard (ImageNet-like) regime for the accuracy experiments.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -74,8 +75,9 @@ class SceneGenerator {
   };
 
   static ClassTexture make_texture(Rng& rng, const Config& cfg);
-  float sample_texture(const ClassTexture& tex, float u, float v,
-                       int channel) const;
+  /// The texture's value at (u, v) in each of the config's channels.
+  std::array<float, 3> sample_texture(const ClassTexture& tex, float u,
+                                      float v) const;
 
   Config cfg_;
   std::vector<ClassTexture> class_textures_;

@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/image/diff.hpp"
 #include "src/image/image.hpp"
 #include "src/image/scene.hpp"
+#include "src/util/rng.hpp"
 
 namespace apx {
 namespace {
@@ -132,6 +138,16 @@ TEST(Diff, DownsampleGrayMatchesToGrayResized) {
   ASSERT_EQ(got.width(), 4);
   ASSERT_EQ(got.height(), 4);
   EXPECT_EQ(got.mean_abs_diff(want), 0.0f);
+  // At the frame's own size too (the block matcher's case).
+  Image square(8, 8, 3);
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      for (int c = 0; c < 3; ++c) square.at(x, y, c) = img.at(x, y, c);
+    }
+  }
+  EXPECT_EQ(downsample_gray(square, 8).mean_abs_diff(
+                square.to_gray().resized(8, 8)),
+            0.0f);
 }
 
 TEST(Diff, BlockMeanAbsDiffIsPerBlock) {
@@ -291,6 +307,181 @@ TEST(Scene, GrayscaleConfigProducesOneChannel) {
   cfg.channels = 1;
   const SceneGenerator gen{cfg};
   EXPECT_EQ(gen.render(0, ViewParams{}).channels(), 1);
+}
+
+// ------------------------------------------------------ Scene oracle
+//
+// The renderer as it was before texture terms were shared across
+// channels, kept as the reference: every sin and exp is re-evaluated per
+// channel, and the group texture is always sampled. SceneGenerator::render
+// must reproduce it bit for bit.
+
+class ReferenceScene {
+ public:
+  explicit ReferenceScene(const SceneGenerator::Config& cfg) : cfg_(cfg) {
+    Rng rng{cfg.seed};
+    for (int c = 0; c < cfg.num_classes; ++c) {
+      Rng class_rng = rng.fork();
+      class_textures_.push_back(make_texture(class_rng));
+    }
+    const int num_groups =
+        (cfg.num_classes + cfg.group_size - 1) / cfg.group_size;
+    Rng group_rng{cfg.seed ^ 0xabcdef1234567890ULL};
+    for (int g = 0; g < num_groups; ++g) {
+      Rng r = group_rng.fork();
+      group_textures_.push_back(make_texture(r));
+    }
+  }
+
+  Image render(int class_id, const ViewParams& view) const {
+    const Texture& own = class_textures_[static_cast<std::size_t>(class_id)];
+    const Texture& group =
+        group_textures_[static_cast<std::size_t>(class_id / cfg_.group_size)];
+    const float mix = cfg_.class_confusion;
+    const int n = cfg_.image_size;
+    Image img(n, n, cfg_.channels);
+    Rng noise_rng{view.noise_seed};
+    const float inv_zoom = 1.0f / std::max(view.zoom, 0.05f);
+    for (int y = 0; y < n; ++y) {
+      for (int x = 0; x < n; ++x) {
+        const float u =
+            ((static_cast<float>(x) / static_cast<float>(n)) * 2.0f - 1.0f) *
+                inv_zoom +
+            view.dx;
+        const float v =
+            ((static_cast<float>(y) / static_cast<float>(n)) * 2.0f - 1.0f) *
+                inv_zoom +
+            view.dy;
+        for (int c = 0; c < cfg_.channels; ++c) {
+          float value = (1.0f - mix) * sample(own, u, v, c) +
+                        mix * sample(group, u, v, c);
+          value = (value - 0.5f) * view.contrast + 0.5f + view.brightness;
+          if (view.noise_sigma > 0.0f) {
+            value += static_cast<float>(
+                noise_rng.normal(0.0, static_cast<double>(view.noise_sigma)));
+          }
+          img.at(x, y, c) = value;
+        }
+      }
+    }
+    if (view.occlusion > 0.0f) {
+      Rng occ_rng{view.noise_seed ^ 0x5eedULL};
+      const float frac = std::clamp(view.occlusion, 0.0f, 0.95f);
+      const int side = std::max(
+          1, static_cast<int>(std::sqrt(frac) * static_cast<float>(n)));
+      const int ox = static_cast<int>(occ_rng.uniform_u64(
+          static_cast<std::uint64_t>(std::max(1, n - side))));
+      const int oy = static_cast<int>(occ_rng.uniform_u64(
+          static_cast<std::uint64_t>(std::max(1, n - side))));
+      for (int y = oy; y < std::min(n, oy + side); ++y) {
+        for (int x = ox; x < std::min(n, ox + side); ++x) {
+          for (int c = 0; c < cfg_.channels; ++c) img.at(x, y, c) = 0.5f;
+        }
+      }
+    }
+    img.clamp();
+    return img;
+  }
+
+ private:
+  struct Component {
+    float fx, fy, phase;
+    float amp[3];
+  };
+  struct Blob {
+    float cx, cy, radius;
+    float color[3];
+  };
+  struct Texture {
+    std::vector<Component> components;
+    std::vector<Blob> blobs;
+  };
+
+  Texture make_texture(Rng& rng) const {
+    Texture tex;
+    for (int i = 0; i < cfg_.components_per_class; ++i) {
+      Component comp{};
+      comp.fx = static_cast<float>(rng.uniform(0.5, 6.0));
+      comp.fy = static_cast<float>(rng.uniform(0.5, 6.0));
+      comp.phase = static_cast<float>(rng.uniform(0.0, 6.283185));
+      for (float& a : comp.amp) a = static_cast<float>(rng.uniform(0.05, 0.30));
+      tex.components.push_back(comp);
+    }
+    for (int i = 0; i < cfg_.blobs_per_class; ++i) {
+      Blob blob{};
+      blob.cx = static_cast<float>(rng.uniform(-1.0, 1.0));
+      blob.cy = static_cast<float>(rng.uniform(-1.0, 1.0));
+      blob.radius = static_cast<float>(rng.uniform(0.15, 0.60));
+      for (float& ch : blob.color) {
+        ch = static_cast<float>(rng.uniform(-0.4, 0.4));
+      }
+      tex.blobs.push_back(blob);
+    }
+    return tex;
+  }
+
+  static float sample(const Texture& tex, float u, float v, int channel) {
+    float value = 0.5f;
+    for (const auto& comp : tex.components) {
+      value += comp.amp[channel] *
+               std::sin(comp.fx * u + comp.fy * v + comp.phase);
+    }
+    for (const auto& blob : tex.blobs) {
+      const float du = u - blob.cx;
+      const float dv = v - blob.cy;
+      const float r2 = blob.radius * blob.radius;
+      value +=
+          blob.color[channel] * std::exp(-(du * du + dv * dv) / (2.0f * r2));
+    }
+    return value;
+  }
+
+  SceneGenerator::Config cfg_;
+  std::vector<Texture> class_textures_;
+  std::vector<Texture> group_textures_;
+};
+
+TEST(SceneOracle, RenderMatchesPerChannelReferenceBitForBit) {
+  ViewParams panned;
+  panned.dx = 0.3f;
+  panned.dy = -0.2f;
+  panned.zoom = 1.4f;
+  panned.brightness = 0.1f;
+  panned.contrast = 1.2f;
+  ViewParams noisy = panned;
+  noisy.noise_sigma = 0.05f;
+  noisy.noise_seed = 17;
+  ViewParams occluded = panned;
+  occluded.occlusion = 0.3f;
+  occluded.noise_seed = 5;
+  ViewParams everything = noisy;
+  everything.occlusion = 0.2f;
+  const std::vector<ViewParams> views{ViewParams{}, panned, noisy, occluded,
+                                      everything};
+  for (const int channels : {1, 3}) {
+    for (const float confusion : {0.0f, 0.35f, 1.0f}) {
+      auto cfg = small_config();
+      cfg.image_size = 24;
+      cfg.channels = channels;
+      cfg.class_confusion = confusion;
+      const SceneGenerator gen{cfg};
+      const ReferenceScene reference{cfg};
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        for (const int class_id : {0, 5, cfg.num_classes - 1}) {
+          SCOPED_TRACE("channels " + std::to_string(channels) +
+                       ", confusion " + std::to_string(confusion) +
+                       ", view " + std::to_string(i) + ", class " +
+                       std::to_string(class_id));
+          const Image got = gen.render(class_id, views[i]);
+          const Image want = reference.render(class_id, views[i]);
+          ASSERT_EQ(got.data().size(), want.data().size());
+          EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                got.data().size_bytes()),
+                    0);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- View

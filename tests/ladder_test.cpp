@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -592,6 +594,44 @@ TEST(LadderAblationTest, AddingRungsNeverIncreasesDnnFraction) {
     prev = frac;
   }
   EXPECT_LT(prev, 1.0) << "the full ladder reused nothing";
+}
+
+// ------------------------------------------------------------- apxsim --help
+
+TEST(ApxsimHelpTest, ListsEveryRegisteredRungWithItsArguments) {
+  FILE* pipe = popen("\"" APX_APXSIM_PATH "\" --help", "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string text;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) {
+    text.append(buf, n);
+  }
+  ASSERT_EQ(pclose(pipe), 0);
+
+  // The rung list is one indented line per rung: the bare token, or the
+  // token with its argument keys in parentheses.
+  std::vector<std::string> lines;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string line = text.substr(pos, end - pos);
+    lines.push_back(line.substr(std::min(line.find_first_not_of(' '),
+                                         line.size())));
+    pos = end + 1;
+  }
+  const RungRegistry& registry = RungRegistry::instance();
+  for (const std::string& name : registry.names()) {
+    SCOPED_TRACE(name);
+    const auto line = std::find_if(
+        lines.begin(), lines.end(), [&](const std::string& l) {
+          return l == name || l.rfind(name + "(", 0) == 0;
+        });
+    ASSERT_NE(line, lines.end()) << "rung missing from --help:\n" << text;
+    for (const auto& arg : registry.find(name)->allowed_args) {
+      EXPECT_TRUE(line->find("(" + arg.key) != std::string::npos ||
+                  line->find("," + arg.key) != std::string::npos)
+          << "argument " << arg.key << " missing from: " << *line;
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/core/rungs/ladder.hpp"
 #include "src/obs/report.hpp"
 #include "src/sim/runner.hpp"
 #include "src/util/table.hpp"
@@ -36,18 +37,37 @@ struct Args {
   }
 };
 
+/// One line per registered rung, cheapest first: its token and the
+/// arguments its "name(arglist)" form accepts.
+std::string rung_list() {
+  const RungRegistry& registry = RungRegistry::instance();
+  std::string out;
+  for (const std::string& name : registry.names()) {
+    std::string line = "                       " + name;
+    const auto& args = registry.find(name)->allowed_args;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      line += i == 0 ? "(" : ",";
+      line += args[i].key;
+      if (args[i].kind != RungRegistry::ArgSpec::Kind::kFlag) line += "=..";
+    }
+    if (!args.empty()) line += ")";
+    out += line + "\n";
+  }
+  return out;
+}
+
 void usage() {
-  std::puts(
+  std::printf(
       "apxsim — approximate-caching scenario driver\n"
       "\n"
       "  --config NAME      nocache | exact | local | imu | video | full |\n"
       "                     adaptive | edge (default: full)\n"
       "  --ladder SPEC      explicit reuse-ladder composition instead of a\n"
       "                     preset: comma-separated rungs, cheapest first,\n"
-      "                     ending in dnn. Rungs: imu temporal warm local\n"
-      "                     exact p2p edge dnn; local(q8) scans the cache on\n"
-      "                     SQ8 codes with exact re-rank; edge(...) takes\n"
-      "                     shards= capacity= ttl= error_budget=. e.g.\n"
+      "                     ending in dnn. Rungs, with their arguments:\n"
+      "%s"
+      "                     local(q8) scans the cache on SQ8 codes with\n"
+      "                     exact re-rank. e.g.\n"
       "                       --ladder imu,temporal,local(q8),p2p,dnn\n"
       "                       --ladder 'imu,temporal,local,p2p,edge(shards=4,"
       "ttl=30s),dnn'\n"
@@ -85,7 +105,8 @@ void usage() {
       "  --metrics          print the per-rung latency breakdown and the\n"
       "                     full metrics registry summary\n"
       "  --metrics-out FILE write the metrics registry as JSON\n"
-      "  --help             this text");
+      "  --help             this text\n",
+      rung_list().c_str());
 }
 
 PipelineConfig config_by_name(const std::string& name, bool& ok) {
