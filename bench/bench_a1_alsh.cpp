@@ -76,16 +76,15 @@ Frontier probe(NnIndex& index, const GroundTruth& truth,
   std::vector<Neighbor> out;
   QueryStats st;
   const std::size_t warm = std::min<std::size_t>(64, queries.size());
-  std::vector<float> dks;
-  dks.reserve(warm);
+  std::vector<QueryStats> reports(warm);
   for (std::size_t i = 0; i < warm; ++i) {
-    index.query_into(queries[i], 1, out, &st);
-    if (!out.empty()) dks.push_back(out.back().distance);
+    index.query_into(queries[i], 1, out, &reports[i]);
   }
-  // The cache folds observed k-th-neighbour distances back into the index
-  // after each lookup batch; give every backend the same signal (a no-op
-  // for p-stable, the start-radius retune for QALSH).
-  index.observe_query_feedback(dks, warm);
+  // The cache hands every query's report back to the index; give every
+  // backend the same signal (a no-op for p-stable, the width retune for
+  // A-LSH, the start-radius retune for QALSH). The timed loop below is
+  // pure: no backend retunes or rebuilds inside it.
+  index.observe_query_feedback(reports, warm);
   std::vector<std::vector<Neighbor>> results(queries.size());
   std::vector<double> ns(queries.size());
   double candidates = 0.0;

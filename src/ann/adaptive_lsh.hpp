@@ -31,37 +31,24 @@ struct AdaptiveLshParams {
 /// Self-tuning LSH index (see file comment).
 ///
 /// Thread-safety: query_batch_into() with per-caller scratches is read-only
-/// and safe for concurrent callers; everything else — including query() and
-/// query_into(), whose controller feed mutates the EMA and can trigger a
-/// rebuild despite the const signature — requires exclusive access.
+/// and safe for concurrent callers — it queries the *current* tables and
+/// touches no controller state. The controller is fed only through
+/// observe_query_feedback(), which, like insert()/remove(), requires
+/// exclusive access; it may rebuild the tables.
 class AdaptiveLshIndex final : public NnIndex {
  public:
   AdaptiveLshIndex(std::size_t dim, const AdaptiveLshParams& params);
 
   void insert(VecId id, const FeatureVec& v) override;
   bool remove(VecId id) override;
-  /// Queries and, as a side effect, feeds the width controller. Logically
-  /// const (results are unaffected within a call), hence the mutable state.
-  std::vector<Neighbor> query(std::span<const float> q,
-                              std::size_t k) const override;
-  /// Zero-steady-state-allocation variant of query() (same side effects);
-  /// a rebuild, when the controller triggers one, does allocate.
-  void query_into(std::span<const float> q, std::size_t k,
-                  std::vector<Neighbor>& out,
-                  QueryStats* stats = nullptr) const override;
 
   /// Forwards to the base index's per-caller scratch.
   std::unique_ptr<IndexScratch> make_scratch() const override {
     return base_.make_scratch();
   }
 
-  /// Read-only batched query against the *current* tables: unlike
-  /// query_into, it feeds neither the d_k estimate nor the rebuild
-  /// trigger, so concurrent callers (one scratch each) never contend on
-  /// controller state. Callers that want adaptation under a batched
-  /// workload collect farthest-neighbour distances and hand them back via
-  /// observe_query_feedback() under exclusive access (ApproxCache::
-  /// fold_scratch does exactly this).
+  /// Read-only query against the current tables (see
+  /// PStableLshIndex::query_batch_into).
   void query_batch_into(std::span<const float> queries, std::size_t count,
                         std::size_t k, IndexScratch* scratch,
                         std::span<std::vector<Neighbor>> results,
@@ -69,10 +56,13 @@ class AdaptiveLshIndex final : public NnIndex {
     base_.query_batch_into(queries, count, k, scratch, results, stats);
   }
 
-  /// Deferred controller feed for the batched path (exclusive access):
-  /// applies each d_k sample to the EMA in order, advances the query
-  /// counter by `query_count`, then runs the usual rebuild check once.
-  void observe_query_feedback(std::span<const float> dk_samples,
+  /// The width controller's only input (exclusive access): records the
+  /// base index's instruments, applies each report's farthest returned
+  /// distance to the d_k EMA in order, advances the query counter by
+  /// `query_count`, then runs the rebuild check once. Fed one report at a
+  /// time (ApproxCache::lookup) this is the per-query controller; fed a
+  /// fold's worth it is the deferred batched one.
+  void observe_query_feedback(std::span<const QueryStats> samples,
                               std::size_t query_count) override;
   std::size_t size() const noexcept override { return base_.size(); }
   std::size_t dim() const noexcept override { return base_.dim(); }
@@ -93,14 +83,14 @@ class AdaptiveLshIndex final : public NnIndex {
   std::size_t rebuild_count() const noexcept { return rebuilds_; }
 
  private:
-  void maybe_adapt() const;
+  void maybe_adapt();
 
   AdaptiveLshParams params_;
-  mutable PStableLshIndex base_;
-  mutable double dk_ema_ = 0.0;
-  mutable bool has_ema_ = false;
-  mutable std::size_t queries_since_rebuild_ = 0;
-  mutable std::size_t rebuilds_ = 0;
+  PStableLshIndex base_;
+  double dk_ema_ = 0.0;
+  bool has_ema_ = false;
+  std::size_t queries_since_rebuild_ = 0;
+  std::size_t rebuilds_ = 0;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t rebuilds_counter_ = 0;
 };

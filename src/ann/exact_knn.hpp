@@ -11,24 +11,23 @@ namespace apx {
 
 /// Linear-scan exact kNN.
 ///
-/// Thread-safety: query()/query_into() are genuinely const (no internal
-/// scratch, no accounting members), so the inherited query_batch_into()
-/// default — a loop over query_into with no scratch — is already safe for
-/// concurrent callers. Only insert()/remove() require exclusive access.
+/// Thread-safety: the scan keeps no query state (make_scratch() returns
+/// nullptr), so query_batch_into() is safe for concurrent callers. Only
+/// insert()/remove() require exclusive access.
 class ExactKnnIndex final : public NnIndex {
  public:
   explicit ExactKnnIndex(std::size_t dim);
 
   void insert(VecId id, const FeatureVec& v) override;
   bool remove(VecId id) override;
-  std::vector<Neighbor> query(std::span<const float> q,
-                              std::size_t k) const override;
-  /// Scores every stored vector into `out` (reusing its capacity), then
-  /// partial-sorts the top k — zero heap allocations once `out` has grown
-  /// to the index size. `stats` (optional) reports the full scan size.
-  void query_into(std::span<const float> q, std::size_t k,
-                  std::vector<Neighbor>& out,
-                  QueryStats* stats = nullptr) const override;
+  /// Scores every stored vector into results[i] (reusing its capacity),
+  /// then partial-sorts the top k — zero heap allocations once the result
+  /// buffers have grown to the index size. Reports the full scan size as
+  /// the candidate count; `scratch` is ignored.
+  void query_batch_into(std::span<const float> queries, std::size_t count,
+                        std::size_t k, IndexScratch* scratch,
+                        std::span<std::vector<Neighbor>> results,
+                        QueryStats* stats = nullptr) const override;
   std::size_t size() const noexcept override { return vectors_.size(); }
   std::size_t dim() const noexcept override { return dim_; }
 

@@ -1,7 +1,8 @@
 #pragma once
 // Nearest-neighbour index abstraction the approximate cache builds on.
 // Implementations: ExactKnnIndex (linear scan baseline), PStableLshIndex,
-// and AdaptiveLshIndex (the A-LSH variant the poster's lineage uses).
+// AdaptiveLshIndex (the A-LSH variant the poster's lineage uses) and
+// QalshIndex (query-aware LSH).
 // New backends register in make_index() (src/ann/factory.hpp).
 
 #include <cstdint>
@@ -24,31 +25,52 @@ struct Neighbor {
   float distance = 0.0f;
 };
 
-/// Opaque per-caller working set for the batched read-only query path.
-/// Backends that keep reusable query buffers (the LSH family) return their
-/// own derived type from NnIndex::make_scratch(); one instance per querying
-/// thread makes query_batch_into() safe for concurrent callers. Like the
-/// legacy internal scratch, it grows to its high-water mark and is never
-/// shrunk, so steady-state batched queries allocate nothing.
+/// Opaque per-caller working set for NnIndex::query_batch_into(). Backends
+/// that keep reusable query buffers (the LSH family, QALSH) return their own
+/// derived type from NnIndex::make_scratch(); one instance per querying
+/// thread makes query_batch_into() safe for concurrent callers. It grows to
+/// its high-water mark and is never shrunk, so steady-state queries
+/// allocate nothing.
 class IndexScratch {
  public:
   virtual ~IndexScratch() = default;
 };
 
-/// Per-query work accounting, returned by value so concurrent readers never
-/// share mutable index state. Both the single-query path (query_into's
-/// `stats` out-parameter) and the batched path fill one of these; there is
-/// no index-owned mirror to race on.
+/// Why a QALSH frontier sweep stopped (the other backends leave kNone).
+enum class SweepStop : std::uint8_t { kNone, kC1, kC2, kExhausted };
+
+/// One query's report: its work accounting and the distance range it
+/// returned. query_batch_into() fills one per query and keeps no copy, so
+/// concurrent readers never share mutable index state; handing reports back
+/// through NnIndex::observe_query_feedback() is how an index records its
+/// per-query instruments and feeds its controller.
 struct QueryStats {
   std::size_t candidates = 0;        ///< vectors whose distance was computed
   std::size_t rerank_survivors = 0;  ///< exact re-rank pass size (SQ8 only)
   std::size_t rounds = 0;            ///< virtual-rehash rounds (QALSH only)
+  std::size_t collisions = 0;  ///< line entries collision-counted (QALSH)
+  SweepStop stop = SweepStop::kNone;  ///< why the sweep ended (QALSH only)
+  float nearest = -1.0f;   ///< closest returned distance, -1 when none
+  float farthest = -1.0f;  ///< farthest returned distance, -1 when none
+
+  /// Sets nearest/farthest from a closest-first result list.
+  void set_range(const std::vector<Neighbor>& out) noexcept {
+    nearest = out.empty() ? -1.0f : out.front().distance;
+    farthest = out.empty() ? -1.0f : out.back().distance;
+  }
 };
 
 /// Mutable nearest-neighbour index over fixed-dimension float vectors.
 ///
 /// All implementations return *exact* distances for the candidates they
 /// surface; approximation only affects which candidates are considered.
+///
+/// A query is split in two halves. query_batch_into() is the only query
+/// implementation: pure, read-only, all state in the caller's scratch and
+/// the returned QueryStats. observe_query_feedback() is the only place an
+/// index records per-query instruments or retunes itself; the caller hands
+/// the reports back under exclusive access (ApproxCache does so after every
+/// lookup, or at fold time on the batched path).
 class NnIndex {
  public:
   virtual ~NnIndex() = default;
@@ -60,69 +82,60 @@ class NnIndex {
   /// Removes `id` if present; returns whether it was.
   virtual bool remove(VecId id) = 0;
 
-  /// Returns up to `k` nearest stored vectors, closest first.
-  virtual std::vector<Neighbor> query(std::span<const float> q,
-                                      std::size_t k) const = 0;
-
-  /// Allocation-conscious query path: clears and fills `out` with up to `k`
-  /// nearest stored vectors, closest first, and — when `stats` is non-null —
-  /// fills it with this query's work accounting. Implementations that keep
-  /// an internal scratch (the LSH family, the exact scan) perform zero heap
-  /// allocations in steady state — `out`'s capacity and the scratch are
-  /// reused across calls. The default simply wraps query() and assumes a
-  /// full scan for accounting.
-  virtual void query_into(std::span<const float> q, std::size_t k,
-                          std::vector<Neighbor>& out,
-                          QueryStats* stats = nullptr) const {
-    out = query(q, k);
-    if (stats != nullptr) *stats = {size(), 0, 0};
-  }
-
   /// Creates the per-caller scratch query_batch_into() uses. Returns
-  /// nullptr for backends whose query path is already pure (the exact scan
-  /// keeps no query state, so the default batch loop is thread-safe as-is).
+  /// nullptr for backends whose query path needs none (the exact scan).
   /// Callers that query one index from many threads hold one scratch per
   /// thread; the scratch must not outlive the index.
   virtual std::unique_ptr<IndexScratch> make_scratch() const {
     return nullptr;
   }
 
-  /// Batched query path: `queries` holds `count` row-major dim()-sized
-  /// vectors; fills results[i] with up to `k` nearest stored vectors for
-  /// query i (closest first, same order/tie-break contract as query_into)
-  /// and, when `stats` is non-null, stats[i] with that query's work
-  /// accounting. Both spans must hold at least `count` elements.
+  /// The query: `queries` holds `count` row-major dim()-sized vectors;
+  /// fills results[i] with up to `k` nearest stored vectors for query i,
+  /// closest first (ties by id), and, when `stats` is non-null, stats[i]
+  /// with that query's report. Both spans must hold at least `count`
+  /// elements. Backends amortize per-batch work here (the LSH family
+  /// hashes table-major, QALSH projects the whole batch first).
   ///
-  /// Thread-safety contract: with a distinct make_scratch() scratch per
-  /// caller this is a *read-only* operation — no metrics recording, no
-  /// index-owned accounting updates, no width-controller feedback — so any
-  /// number of threads may run it concurrently against each other (but not
-  /// against insert/remove/rebuild, which require exclusive access; the
-  /// cache layer provides that discipline). Backends amortize per-batch
-  /// work here (the LSH family hashes table-major so each projection matrix
-  /// stays hot across the whole batch); this default simply loops over
-  /// query_into and is concurrency-safe only when query_into is genuinely
-  /// const (the exact scan), so stateful backends must override it.
+  /// Thread-safety: with a distinct make_scratch() scratch per caller this
+  /// is read-only — no metrics, no controller feed, no index-owned buffers
+  /// — so any number of threads may run it concurrently, but not against
+  /// insert/remove/observe_query_feedback, which need exclusive access.
+  /// Steady-state calls perform zero heap allocations.
   virtual void query_batch_into(std::span<const float> queries,
                                 std::size_t count, std::size_t k,
                                 IndexScratch* scratch,
                                 std::span<std::vector<Neighbor>> results,
-                                QueryStats* stats = nullptr) const {
-    (void)scratch;
-    for (std::size_t i = 0; i < count; ++i) {
-      query_into(queries.subspan(i * dim(), dim()), k, results[i],
-                 stats != nullptr ? &stats[i] : nullptr);
-    }
+                                QueryStats* stats = nullptr) const = 0;
+
+  /// Single-query convenience over query_batch_into() and one lazily
+  /// created index scratch: clears and fills `out` (its capacity is reused)
+  /// and, when `stats` is non-null, the query's report. Records nothing and
+  /// feeds nothing; one caller at a time (tests, benches, tools).
+  void query_into(std::span<const float> q, std::size_t k,
+                  std::vector<Neighbor>& out,
+                  QueryStats* stats = nullptr) const {
+    if (helper_scratch_ == nullptr) helper_scratch_ = make_scratch();
+    query_batch_into(q, 1, k, helper_scratch_.get(), {&out, 1}, stats);
   }
 
-  /// Applies query feedback gathered on the batched read path, under the
-  /// caller's exclusive access: `dk_samples` are the farthest returned
-  /// distances of recent queries, `query_count` how many queries ran.
-  /// Self-tuning backends (A-LSH) feed their width controller here instead
-  /// of inside the read-only batch path. Default: stateless, ignore.
-  virtual void observe_query_feedback(std::span<const float> dk_samples,
+  /// Allocating form of query_into().
+  std::vector<Neighbor> query(std::span<const float> q, std::size_t k) const {
+    std::vector<Neighbor> out;
+    query_into(q, k, out);
+    return out;
+  }
+
+  /// Takes back the reports of answered queries, under the caller's
+  /// exclusive access: `samples` are query_batch_into() reports in query
+  /// order (possibly a bounded prefix of what ran), `query_count` how many
+  /// queries ran. Instrumented backends record their per-query histograms
+  /// and counters here; self-tuning ones (A-LSH width, QALSH start radius)
+  /// feed their controller from the farthest returned distances. Default:
+  /// nothing to record or tune.
+  virtual void observe_query_feedback(std::span<const QueryStats> samples,
                                       std::size_t query_count) {
-    (void)dk_samples;
+    (void)samples;
     (void)query_count;
   }
 
@@ -144,6 +157,10 @@ class NnIndex {
 
   /// Vector dimensionality the index was built for.
   virtual std::size_t dim() const noexcept = 0;
+
+ private:
+  /// query_into()'s scratch, created on its first call.
+  mutable std::unique_ptr<IndexScratch> helper_scratch_;
 };
 
 }  // namespace apx

@@ -29,7 +29,7 @@ PStableLshIndex::PStableLshIndex(std::size_t dim, const LshParams& params)
           static_cast<float>(rng.uniform(0.0, params.bucket_width));
     }
   }
-  prepare_scratch(scratch_);
+  prepare_scratch(link_scratch_);
 }
 
 void PStableLshIndex::prepare_scratch(QueryScratch& sc) const {
@@ -92,7 +92,7 @@ void PStableLshIndex::link_slot(Slot slot) {
   const std::span<const float> v = slot_vec(slot);
   for (std::size_t t = 0; t < tables_.size(); ++t) {
     const std::uint64_t key =
-        compute_coords(scratch_, tables_[t], v, /*want_fractions=*/false);
+        compute_coords(link_scratch_, tables_[t], v, /*want_fractions=*/false);
     tables_[t].buckets[key].push_back(slot);
     slot_keys_[static_cast<std::size_t>(slot) * tables_.size() + t] = key;
   }
@@ -168,13 +168,6 @@ bool PStableLshIndex::remove(VecId id) {
   free_slots_.push_back(slot);
   id_to_slot_.erase(it);
   return true;
-}
-
-std::vector<Neighbor> PStableLshIndex::query(std::span<const float> q,
-                                             std::size_t k) const {
-  std::vector<Neighbor> result;
-  query_into(q, k, result);
-  return result;
 }
 
 void PStableLshIndex::hash_query(QueryScratch& sc, const Table& table,
@@ -267,27 +260,6 @@ void PStableLshIndex::gather_score(QueryScratch& sc, std::span<const float> q,
   out.resize(take);
 }
 
-void PStableLshIndex::query_into(std::span<const float> q, std::size_t k,
-                                 std::vector<Neighbor>& out,
-                                 QueryStats* stats) const {
-  assert(q.size() == dim_);
-  QueryScratch& sc = scratch_;
-  const std::size_t per_table = 1 + probes();
-  for (std::size_t t = 0; t < tables_.size(); ++t) {
-    hash_query(sc, tables_[t], q, sc.keys.data() + t * per_table);
-  }
-  QueryStats st;
-  gather_score(sc, q, k, sc.keys.data(), out, st);
-  if (metrics_ != nullptr) {
-    metrics_->record(candidates_hist_, static_cast<double>(st.candidates));
-    if (quantized()) {
-      metrics_->record(rerank_hist_,
-                       static_cast<double>(st.rerank_survivors));
-    }
-  }
-  if (stats != nullptr) *stats = st;
-}
-
 void PStableLshIndex::query_batch_into(std::span<const float> queries,
                                        std::size_t count, std::size_t k,
                                        IndexScratch* scratch,
@@ -316,13 +288,27 @@ void PStableLshIndex::query_batch_into(std::span<const float> queries,
                  sc.keys.data() + b * per_query + t * per_table);
     }
   }
-  // Stages 2+3 per query, replaying the staged keys in the exact bucket
-  // order the single-query path probes — results are byte-identical.
+  // Stages 2+3 per query, replaying each query's staged keys in table then
+  // probe order — the same bucket order whatever the batch size.
   for (std::size_t b = 0; b < count; ++b) {
     QueryStats st;
     gather_score(sc, queries.subspan(b * dim_, dim_), k,
                  sc.keys.data() + b * per_query, results[b], st);
+    st.set_range(results[b]);
     if (stats != nullptr) stats[b] = st;
+  }
+}
+
+void PStableLshIndex::observe_query_feedback(
+    std::span<const QueryStats> samples, std::size_t query_count) {
+  (void)query_count;
+  if (metrics_ == nullptr) return;
+  for (const QueryStats& st : samples) {
+    metrics_->record(candidates_hist_, static_cast<double>(st.candidates));
+    if (quantized()) {
+      metrics_->record(rerank_hist_,
+                       static_cast<double>(st.rerank_survivors));
+    }
   }
 }
 

@@ -25,6 +25,7 @@ ApproxCache::ApproxCache(std::size_t dim, const ApproxCacheConfig& config,
   if (dim == 0 || config.capacity == 0 || eviction_ == nullptr) {
     throw std::invalid_argument("ApproxCache: bad configuration");
   }
+  own_scratch_.index_scratch_ = index_->make_scratch();
 }
 
 SimDuration ApproxCache::simulated_latency(
@@ -52,73 +53,11 @@ HknnParams ApproxCache::effective_params(
   return params;
 }
 
-CacheResult ApproxCache::lookup(const CacheQuery& q) {
-  if (q.count != 1) {
-    throw std::invalid_argument(
-        "ApproxCache::lookup: single-frame path (use lookup_batch)");
-  }
-  assert(q.features.size() == dim_);
-  std::unique_lock lock(mu_);
-  CacheResult result;
-  const std::size_t k = q.k_override != 0 ? q.k_override : config_.hknn.k;
-  QueryStats st;
-  index_->query_into(q.features, k, neighbor_scratch_, &st);
-  const std::vector<Neighbor>& neighbors = neighbor_scratch_;
-
-  result.candidates = st.candidates;
-  result.latency = simulated_latency(st.candidates, st.rerank_survivors);
-
-  const float nearest =
-      neighbors.empty() ? -1.0f : neighbors.front().distance;
-  if (q.trace != nullptr) {
-    q.trace->annotate_lookup(static_cast<std::uint32_t>(st.candidates),
-                             nearest);
-    if (quantized_scan_) {
-      q.trace->annotate_rerank(
-          static_cast<std::uint32_t>(st.rerank_survivors));
-    }
-    if (st.rounds > 0) {
-      q.trace->annotate_rounds(static_cast<std::uint32_t>(st.rounds));
-    }
-  }
-  if (metrics_ != nullptr) {
-    metrics_->record(lookup_us_hist_, static_cast<double>(result.latency));
-    if (nearest >= 0.0f) {
-      metrics_->record(nearest_distance_hist_,
-                       static_cast<double>(nearest));
-    }
-  }
-
-  result.vote = hknn_vote(neighbors, label_of_,
-                          effective_params(q.threshold_scale, q.k_override));
-
-  if (result.vote.has_value()) {
-    counters_.inc("hit");
-    // Touch every voter so eviction sees their usefulness.
-    std::size_t touched = 0;
-    for (const Neighbor& n : neighbors) {
-      if (touched >= result.vote->voters) break;
-      auto it = entries_.find(n.id);
-      if (it != entries_.end()) {
-        it->second.last_access = q.now;
-        ++it->second.access_count;
-      }
-      ++touched;
-    }
-  } else {
-    counters_.inc("miss");
-  }
-  return result;
-}
-
-void ApproxCache::lookup_batch(const CacheQuery& q,
-                               std::span<CacheResult> results,
-                               CacheQueryScratch& scratch) const {
-  if (q.count == 0) return;
+void ApproxCache::answer(const CacheQuery& q, std::span<CacheResult> results,
+                         CacheQueryScratch& scratch) const {
   if (q.features.size() != q.count * dim_ || results.size() < q.count) {
-    throw std::invalid_argument("ApproxCache::lookup_batch: bad sizes");
+    throw std::invalid_argument("ApproxCache: bad query sizes");
   }
-  std::shared_lock lock(mu_);
   const std::size_t k = q.k_override != 0 ? q.k_override : config_.hknn.k;
   const HknnParams params =
       effective_params(q.threshold_scale, q.k_override);
@@ -137,9 +76,8 @@ void ApproxCache::lookup_batch(const CacheQuery& q,
     r.latency = simulated_latency(st.candidates, st.rerank_survivors);
     r.vote = hknn_vote(neighbors, label_of_, params);
     if (q.trace != nullptr && q.count == 1) {
-      q.trace->annotate_lookup(
-          static_cast<std::uint32_t>(st.candidates),
-          neighbors.empty() ? -1.0f : neighbors.front().distance);
+      q.trace->annotate_lookup(static_cast<std::uint32_t>(st.candidates),
+                               st.nearest);
       if (quantized_scan_) {
         q.trace->annotate_rerank(
             static_cast<std::uint32_t>(st.rerank_survivors));
@@ -151,7 +89,7 @@ void ApproxCache::lookup_batch(const CacheQuery& q,
     ++scratch.lookups_;
     if (r.vote.has_value()) {
       ++scratch.hits_;
-      // Defer voter touches to the next fold (bounded buffer: overflow is
+      // Defer voter touches to the apply step (bounded buffer: overflow is
       // dropped — recency is an eviction heuristic, not correctness).
       std::size_t touched = 0;
       for (const Neighbor& n : neighbors) {
@@ -164,14 +102,61 @@ void ApproxCache::lookup_batch(const CacheQuery& q,
     } else {
       ++scratch.misses_;
     }
-    if (!neighbors.empty() &&
-        scratch.dk_samples_.size() < CacheQueryScratch::kMaxDkSamples) {
-      // The farthest distance this query actually needed — the A-LSH width
-      // controller's food, applied at fold time.
-      scratch.dk_samples_.push_back(neighbors.back().distance);
+    if (scratch.samples_.size() < CacheQueryScratch::kMaxSamples) {
+      scratch.samples_.push_back(st);
     }
     results[b] = std::move(r);
   }
+}
+
+void ApproxCache::apply(CacheQueryScratch& scratch, bool cache_effects) {
+  if (cache_effects) {
+    for (const CacheQueryScratch::Touch& t : scratch.touches_) {
+      auto it = entries_.find(t.id);
+      if (it != entries_.end()) {
+        it->second.last_access = t.now;
+        ++it->second.access_count;
+      }
+    }
+    if (scratch.hits_ > 0) counters_.inc("hit", scratch.hits_);
+    if (scratch.misses_ > 0) counters_.inc("miss", scratch.misses_);
+    if (metrics_ != nullptr) {
+      for (const QueryStats& st : scratch.samples_) {
+        metrics_->record(lookup_us_hist_,
+                         static_cast<double>(simulated_latency(
+                             st.candidates, st.rerank_survivors)));
+        if (st.nearest >= 0.0f) {
+          metrics_->record(nearest_distance_hist_,
+                           static_cast<double>(st.nearest));
+        }
+      }
+    }
+  }
+  index_->observe_query_feedback(scratch.samples_, scratch.lookups_);
+  scratch.touches_.clear();
+  scratch.samples_.clear();
+  scratch.lookups_ = 0;
+  scratch.hits_ = 0;
+  scratch.misses_ = 0;
+}
+
+CacheResult ApproxCache::lookup(const CacheQuery& q) {
+  if (q.count != 1) {
+    throw std::invalid_argument(
+        "ApproxCache::lookup: single-frame path (use lookup_batch)");
+  }
+  std::unique_lock lock(mu_);
+  CacheResult result;
+  answer(q, {&result, 1}, own_scratch_);
+  apply(own_scratch_, /*cache_effects=*/true);
+  return result;
+}
+
+void ApproxCache::lookup_batch(const CacheQuery& q,
+                               std::span<CacheResult> results,
+                               CacheQueryScratch& scratch) const {
+  std::shared_lock lock(mu_);
+  answer(q, results, scratch);
 }
 
 CacheQueryScratch ApproxCache::make_scratch() const {
@@ -183,21 +168,7 @@ CacheQueryScratch ApproxCache::make_scratch() const {
 
 void ApproxCache::fold_scratch(CacheQueryScratch& scratch) {
   std::unique_lock lock(mu_);
-  for (const CacheQueryScratch::Touch& t : scratch.touches_) {
-    auto it = entries_.find(t.id);
-    if (it != entries_.end()) {
-      it->second.last_access = t.now;
-      ++it->second.access_count;
-    }
-  }
-  if (scratch.hits_ > 0) counters_.inc("hit", scratch.hits_);
-  if (scratch.misses_ > 0) counters_.inc("miss", scratch.misses_);
-  index_->observe_query_feedback(scratch.dk_samples_, scratch.lookups_);
-  scratch.touches_.clear();
-  scratch.dk_samples_.clear();
-  scratch.lookups_ = 0;
-  scratch.hits_ = 0;
-  scratch.misses_ = 0;
+  apply(scratch, /*cache_effects=*/true);
 }
 
 VecId ApproxCache::insert(FeatureVec feature, Label label, float confidence,
@@ -252,22 +223,29 @@ const CacheEntry* ApproxCache::find(VecId id) const {
 }
 
 std::optional<float> ApproxCache::nearest_distance(
-    std::span<const float> q) const {
+    std::span<const float> q) {
   std::unique_lock lock(mu_);
-  index_->query_into(q, 1, neighbor_scratch_);
-  if (neighbor_scratch_.empty()) return std::nullopt;
-  return neighbor_scratch_.front().distance;
+  CacheResult result;
+  answer({.features = q, .k_override = 1}, {&result, 1}, own_scratch_);
+  apply(own_scratch_, /*cache_effects=*/false);
+  const float nearest = own_scratch_.stats_.front().nearest;
+  if (nearest < 0.0f) return std::nullopt;
+  return nearest;
 }
 
-std::optional<HknnVote> ApproxCache::peek_vote(const CacheQuery& q) const {
+std::optional<HknnVote> ApproxCache::peek_vote(const CacheQuery& q) {
   if (q.count != 1) {
     throw std::invalid_argument(
         "ApproxCache::peek_vote: single-frame path");
   }
   std::unique_lock lock(mu_);
-  index_->query_into(q.features, config_.hknn.k, neighbor_scratch_);
-  return hknn_vote(neighbor_scratch_, label_of_,
-                   effective_params(q.threshold_scale, q.k_override));
+  CacheResult result;
+  answer({.features = q.features,
+          .threshold_scale = q.threshold_scale,
+          .k_override = q.k_override},
+         {&result, 1}, own_scratch_);
+  apply(own_scratch_, /*cache_effects=*/false);
+  return result.vote;
 }
 
 void ApproxCache::for_each(

@@ -4,21 +4,32 @@
 // neighbour query followed by a homogenized-kNN vote, so "equal enough"
 // inputs reuse previous recognition results.
 //
-// Thread-safety contract (DESIGN.md §9). One instance may be shared by many
-// threads; a reader-writer lock splits the surface in two:
+// One query path (DESIGN.md §9). Every read — lookup(), peek_vote(),
+// nearest_distance(), lookup_batch() — runs the same answer step: one
+// NnIndex::query_batch_into over a CacheQueryScratch, an H-kNN vote per
+// frame, and every side effect (voter touches, hit/miss tallies, the
+// index's per-query reports) deferred into that scratch. One apply step
+// then lands them: entry touches, counters, the "cache/*" histograms, and
+// the index feedback (its "ann/*" instruments and width/radius
+// controller). The single-frame calls answer and apply back to back on a
+// cache-owned scratch; the batched path answers now and applies at
+// fold_scratch() time.
 //
-//  shared path — wait-free against each other, all per-call mutable state
+// Thread-safety contract. One instance may be shared by many threads; a
+// reader-writer lock splits the surface in two:
+//
+//  shared path — concurrent with each other; all per-call mutable state
 //  lives in a caller-owned CacheQueryScratch (one per thread):
-//    lookup_batch()           the serving-scale hot path
-//    find(), for_each(), entries_since(), size(), nearest-neighbour reads
+//    lookup_batch()           the serving-scale hot path (answer only)
+//    find(), for_each(), entries_since(), size(), make_scratch(); reads
 //      of config()/dim()/capacity() (immutable after construction)
 //
 //  exclusive path — internally serialized, safe to call from any thread but
-//  one at a time; mutates entries, counters, index arenas, or the
-//  index-owned query scratch:
-//    lookup(), peek_vote(), nearest_distance()   (legacy/simulation path:
-//      drives the A-LSH width controller and the index-owned scratch)
-//    insert(), remove(), clear(), fold_scratch()
+//  one at a time; mutates entries, counters, index arenas or controllers,
+//  or the cache-owned scratch:
+//    lookup(), peek_vote(), nearest_distance()   (answer + apply)
+//    fold_scratch()                              (apply)
+//    insert(), remove(), clear()
 //    attach_metrics()  (call before any concurrent use; the registry itself
 //      is not thread-safe, so metrics recording stays on exclusive paths)
 //    counters()        (the non-const overload, and any read that races a
@@ -93,17 +104,25 @@ struct CacheResult {
 
 /// Per-thread working set for lookup_batch(): the index scratch, neighbour
 /// buffers, and the side effects a read-only lookup must defer — entry
-/// touches, hit/miss tallies, A-LSH width-controller samples. Obtain one
+/// touches, hit/miss tallies, and each query's QueryStats report. Obtain one
 /// per querying thread from ApproxCache::make_scratch(); hand it back
 /// periodically via ApproxCache::fold_scratch() so eviction recency,
-/// counters, and index adaptation catch up with the read traffic. Buffers
-/// grow to their high-water mark and are reused, so steady-state batched
-/// lookups perform zero heap allocations. The deferred-side-effect buffers
-/// are bounded (kMaxTouches/kMaxDkSamples): between folds, overflowing
-/// touches and d_k samples are dropped — both feed heuristics (eviction
-/// recency, width adaptation), not correctness.
+/// counters, the "cache/*" and "ann/*" instruments, and index adaptation
+/// catch up with the read traffic. Buffers grow to their high-water mark
+/// and are reused, so steady-state batched lookups perform zero heap
+/// allocations. The deferred buffers are bounded: between folds, touches
+/// past kMaxTouches and per-query reports past kMaxSamples are dropped.
+/// Hit/miss tallies and the query count stay exact; the dropped reports
+/// only thin the per-query histograms ("cache/lookup_us",
+/// "cache/nearest_distance", "ann/candidates", ...) and the controller's
+/// d_k samples — observability and heuristics, not correctness.
 class CacheQueryScratch {
  public:
+  /// Deferred voter touches kept between folds.
+  static constexpr std::size_t kMaxTouches = 4096;
+  /// Deferred per-query reports kept between folds.
+  static constexpr std::size_t kMaxSamples = 1024;
+
   CacheQueryScratch() = default;
 
   /// Batched lookups answered since the last fold.
@@ -114,19 +133,16 @@ class CacheQueryScratch {
  private:
   friend class ApproxCache;
 
-  static constexpr std::size_t kMaxTouches = 4096;
-  static constexpr std::size_t kMaxDkSamples = 1024;
-
   struct Touch {
     VecId id = 0;
     SimTime now = 0;
   };
 
   std::unique_ptr<IndexScratch> index_scratch_;
-  std::vector<std::vector<Neighbor>> results_;  // per-frame neighbour lists
-  std::vector<QueryStats> stats_;               // per-frame work accounting
+  std::vector<std::vector<Neighbor>> results_;  // last batch's neighbours
+  std::vector<QueryStats> stats_;               // last batch's reports
   std::vector<Touch> touches_;                  // deferred voter touches
-  std::vector<float> dk_samples_;               // deferred A-LSH feedback
+  std::vector<QueryStats> samples_;             // deferred query reports
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -134,19 +150,19 @@ class CacheQueryScratch {
 
 /// Approximate cache mapping feature vectors to recognition labels.
 ///
-/// Shareable across threads — see the thread-safety contract in the file
-/// comment. The legacy simulation remains single-threaded per device; its
-/// uncontended lock acquisitions cost nanoseconds against sub-millisecond
-/// lookups.
+/// Shareable across threads — see the query path and thread-safety
+/// contract in the file comment. The simulation remains single-threaded
+/// per device; its uncontended lock acquisitions cost nanoseconds against
+/// sub-millisecond lookups.
 class ApproxCache {
  public:
   ApproxCache(std::size_t dim, const ApproxCacheConfig& config,
               std::unique_ptr<EvictionPolicy> eviction);
 
-  /// Looks up the single frame in `q`. Accessed entries are touched, hit/
-  /// miss counters updated, and the A-LSH width controller fed — the
-  /// exclusive path. Steady-state calls perform zero heap allocations
-  /// (neighbour scratch and index scratch are reused). Throws
+  /// Looks up the single frame in `q`: a count-1 answer on the cache-owned
+  /// scratch, applied at once — voters touched, hit/miss counted, the
+  /// "cache/*" histograms recorded, and the index fed its report. Exclusive
+  /// path. Steady-state calls perform zero heap allocations. Throws
   /// std::invalid_argument when q.count != 1.
   CacheResult lookup(const CacheQuery& q);
 
@@ -154,11 +170,12 @@ class ApproxCache {
   /// `results[0..count)`, amortizing hashing and candidate scoring across
   /// the batch. This is the *shared* path: any number of threads may call
   /// it concurrently, each with its own `scratch` from make_scratch().
-  /// Touches, hit/miss tallies, and width-controller feedback are deferred
-  /// into the scratch (bounded; see CacheQueryScratch) until the caller
-  /// folds them back with fold_scratch(); per-lookup metrics histograms are
-  /// not recorded on this path. q.trace is honoured for single-frame
-  /// batches (the trace object is caller-owned thread-local state).
+  /// Every side effect — touches, hit/miss tallies, per-query reports for
+  /// the histograms and the index controller — is deferred into the
+  /// scratch (bounded; see CacheQueryScratch) until the caller folds it
+  /// back with fold_scratch(), which then lands exactly what lookup() of
+  /// the same frames would have. q.trace is honoured for single-frame
+  /// batches (the trace object is caller-owned state).
   void lookup_batch(const CacheQuery& q, std::span<CacheResult> results,
                     CacheQueryScratch& scratch) const;
 
@@ -167,9 +184,10 @@ class ApproxCache {
   CacheQueryScratch make_scratch() const;
 
   /// Applies a scratch's deferred side effects under the write lock: entry
-  /// touches (eviction recency), hit/miss counters, and the A-LSH width
-  /// controller feed (which may trigger a rebuild). Clears the scratch's
-  /// pending state; the scratch remains usable for further batches.
+  /// touches (eviction recency), hit/miss counters, the "cache/lookup_us"
+  /// and "cache/nearest_distance" samples, and the index feedback (its
+  /// "ann/*" instruments and controller, which may rebuild A-LSH tables).
+  /// Clears the scratch's pending state; the scratch remains usable.
   void fold_scratch(CacheQueryScratch& scratch);
 
   /// Inserts a new entry, evicting first when full. Returns the new id.
@@ -190,17 +208,25 @@ class ApproxCache {
   const CacheEntry* find(VecId id) const;
 
   /// Distance from `q` to its nearest cached neighbour via the index
-  /// (nullopt when empty) — used by the P2P layer to dedupe merges.
-  /// Exclusive path (index-owned scratch, A-LSH controller feed).
-  std::optional<float> nearest_distance(std::span<const float> q) const;
+  /// (nullopt when none is found) — the P2P merge dedupe and the edge
+  /// admission check. A count-1 answer with k = 1, then only the index
+  /// feedback is applied; see peek_vote() for what that feeds and why.
+  std::optional<float> nearest_distance(std::span<const float> q);
 
-  /// Hypothetical vote with NO observable side effects: no counter updates,
-  /// no entry touches, no metrics. Used by the adaptive threshold
-  /// controller to ask "would the cache have answered, and what?" on frames
-  /// where the DNN ran anyway. Exclusive path: it shares the index-owned
-  /// query scratch and feeds the A-LSH width controller. Only q.features
-  /// (single frame), q.threshold_scale and q.k_override participate.
-  std::optional<HknnVote> peek_vote(const CacheQuery& q) const;
+  /// Hypothetical vote: "would the cache have answered, and what?" — asked
+  /// by the adaptive threshold controller on frames the DNN ran anyway and
+  /// by the edge admission check. Only q.features (single frame),
+  /// q.threshold_scale and q.k_override participate. A count-1 answer, then
+  /// only the index feedback is applied: no entry touches, no hit/miss
+  /// counters, no "cache/*" histograms. The feedback does record the
+  /// index's "ann/*" instruments and feeds its controller (A-LSH width,
+  /// QALSH start radius), so these probes steer the index like lookups do.
+  /// That looks like a contract bug but carries load: on the edge-region
+  /// benchmark (seed 1, 20 s), stopping the feed from both calls worsened
+  /// simulated mean latency 20% and p99 24%, and stopping it from
+  /// peek_vote alone cut the served-ok ratio from 0.99996 to 0.99771.
+  /// Exclusive path.
+  std::optional<HknnVote> peek_vote(const CacheQuery& q);
 
   /// Calls `fn` for every entry (unspecified order). `fn` must not call
   /// exclusive-path methods on this cache (non-recursive lock).
@@ -249,6 +275,15 @@ class ApproxCache {
   /// Shared vote logic: H-kNN params for this request.
   HknnParams effective_params(float threshold_scale,
                               std::size_t k_override) const noexcept;
+  /// The one answer routine: queries the index for q's frames, votes, and
+  /// defers every side effect into `scratch`. Caller holds mu_ (shared or
+  /// exclusive). Throws std::invalid_argument on mismatched sizes.
+  void answer(const CacheQuery& q, std::span<CacheResult> results,
+              CacheQueryScratch& scratch) const;
+  /// The one apply routine: lands `scratch`'s deferred effects and clears
+  /// them. With `cache_effects` false only the index feedback is applied
+  /// (peek_vote/nearest_distance). Caller holds mu_ exclusively.
+  void apply(CacheQueryScratch& scratch, bool cache_effects);
 
   std::size_t dim_;
   ApproxCacheConfig config_;
@@ -261,7 +296,8 @@ class ApproxCache {
   /// Constructed once (single this-pointer capture fits std::function's
   /// small-buffer storage) so votes never rebuild a closure per lookup.
   std::function<Label(VecId)> label_of_;
-  mutable std::vector<Neighbor> neighbor_scratch_;
+  /// The single-frame exclusive calls' scratch (guarded by mu_).
+  CacheQueryScratch own_scratch_;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t lookup_us_hist_ = 0;
   std::uint32_t nearest_distance_hist_ = 0;

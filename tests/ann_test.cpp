@@ -303,6 +303,17 @@ AdaptiveLshParams default_alsh() {
   return p;
 }
 
+// Queries `index` and hands the report back through observe_query_feedback,
+// as ApproxCache::lookup does — the width controller's only input.
+std::vector<Neighbor> query_and_feed(NnIndex& index, const FeatureVec& q,
+                                     std::size_t k) {
+  std::vector<Neighbor> out;
+  QueryStats st;
+  index.query_into(q, k, out, &st);
+  index.observe_query_feedback({&st, 1}, 1);
+  return out;
+}
+
 TEST(AdaptiveLsh, BadParamsThrow) {
   AdaptiveLshParams p = default_alsh();
   p.width_factor = 0.0f;
@@ -316,7 +327,7 @@ TEST(AdaptiveLsh, NoAdaptationWhenSmall) {
   AdaptiveLshIndex index{8, default_alsh()};
   Rng rng{1};
   for (VecId id = 0; id < 4; ++id) index.insert(id, random_unit(rng, 8));
-  for (int i = 0; i < 50; ++i) index.query(random_unit(rng, 8), 2);
+  for (int i = 0; i < 50; ++i) query_and_feed(index, random_unit(rng, 8), 2);
   EXPECT_EQ(index.rebuild_count(), 0u);
 }
 
@@ -336,7 +347,7 @@ TEST(AdaptiveLsh, AdaptsWidthTowardDataScale) {
   for (int i = 0; i < 100; ++i) {
     FeatureVec q = center;
     for (float& x : q) x += static_cast<float>(rng.normal(0.0, 0.01));
-    index.query(q, 4);
+    query_and_feed(index, q, 4);
   }
   EXPECT_GE(index.rebuild_count(), 1u);
   EXPECT_LT(index.current_width(), 0.6f);
@@ -353,7 +364,7 @@ TEST(AdaptiveLsh, QueriesStillCorrectAfterAdaptation) {
   for (int round = 0; round < 3; ++round) {
     int found = 0;
     for (VecId id = 0; id < 100; ++id) {
-      const auto result = index.query(base[id], 1);
+      const auto result = query_and_feed(index, base[id], 1);
       if (!result.empty() && result[0].id == id) ++found;
     }
     EXPECT_GE(found, 90) << "round " << round
@@ -382,7 +393,7 @@ TEST(AdaptiveLsh, CandidateCountBoundedUnderDensity) {
   Rng rng{5};
   for (VecId id = 0; id < 500; ++id) {
     index.insert(id, random_unit(rng, 8));
-    if (id % 5 == 0) index.query(random_unit(rng, 8), 4);
+    if (id % 5 == 0) query_and_feed(index, random_unit(rng, 8), 4);
   }
   // After adaptation the last candidate counts must be well below "all".
   std::vector<Neighbor> out;

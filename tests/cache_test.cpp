@@ -200,6 +200,32 @@ TEST(ApproxCache, NearestDistanceFindsClosest) {
   EXPECT_NEAR(*d, 0.0f, 1e-6f);
 }
 
+TEST(ApproxCache, PeekVoteHonoursKOverride) {
+  // The 4 nearest entries carry label 1, the next 4 label 2: a vote over
+  // the configured k = 4 is unanimous, a vote over 8 is mixed.
+  auto cfg = small_config();
+  cfg.hknn.k = 4;
+  cfg.hknn.max_distance = 1.0f;
+  ApproxCache cache{kDim, cfg, make_lru_policy()};
+  for (int i = 0; i < 4; ++i) {
+    cache.insert(unit_at(0.05f + 0.01f * static_cast<float>(i)), 1, 0.9f, 0);
+  }
+  for (int i = 0; i < 4; ++i) {
+    cache.insert(unit_at(0.10f + 0.01f * static_cast<float>(i)), 2, 0.9f, 0);
+  }
+  const FeatureVec q = unit_at(0.0f);
+  const auto peek = cache.peek_vote({.features = q, .k_override = 8});
+  const auto looked =
+      cache.lookup({.features = q, .now = 1, .k_override = 8}).vote;
+  EXPECT_FALSE(looked.has_value());  // the 8-neighbour vote is mixed
+  ASSERT_EQ(peek.has_value(), looked.has_value());
+  if (peek.has_value()) {
+    EXPECT_EQ(peek->label, looked->label);
+    EXPECT_EQ(peek->voters, looked->voters);
+    EXPECT_FLOAT_EQ(peek->homogeneity, looked->homogeneity);
+  }
+}
+
 TEST(ApproxCache, EntriesSinceFiltersAndSorts) {
   auto cache = make_cache();
   cache.insert(unit_at(0.0f), 1, 0.9f, 10);

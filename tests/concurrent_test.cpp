@@ -7,12 +7,16 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/ann/adaptive_lsh.hpp"
+#include "src/ann/qalsh.hpp"
 #include "src/cache/approx_cache.hpp"
 #include "src/edge/edge_cache.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/vecmath.hpp"
 
@@ -58,12 +62,12 @@ void fill_cache(ApproxCache& cache, Rng& rng, std::size_t n) {
 
 // ------------------------------------------------------ Batch == single
 
-// The batched path must agree with the sequential path wherever the
-// sequential path is side-effect-free on query results: p-stable LSH, the
-// exact scan, and QALSH (whose radius controller is fed only through
-// observe_query_feedback, never inline). (A-LSH is excluded on purpose —
-// its legacy query_into feeds the width controller, so interleaving legacy
-// queries changes the tables the next query sees.)
+// The batched path must agree with the sequential path frame for frame on
+// the same index state: p-stable LSH, the exact scan, and QALSH. lookup()
+// applies each query's report at once, which retunes QALSH's start radius,
+// so the batch is re-answered before every lookup; the shared path itself
+// changes nothing. (A-LSH is excluded on purpose — a lookup's feedback can
+// rebuild its tables, which the count-1 parity test below covers.)
 TEST(BatchParity, BatchMatchesSingleLookup) {
   for (const IndexKind kind :
        {IndexKind::kExact, IndexKind::kLsh, IndexKind::kQalsh}) {
@@ -75,14 +79,11 @@ TEST(BatchParity, BatchMatchesSingleLookup) {
     constexpr std::size_t kQueries = 64;
     const std::vector<float> flat = pack_queries(rng, kQueries);
 
-    // Batched answers first: the shared path is read-only, so the
-    // sequential reference afterwards sees an identical cache.
     CacheQueryScratch scratch = cache.make_scratch();
     std::vector<CacheResult> batched(kQueries);
-    cache.lookup_batch({.features = flat, .count = kQueries, .now = 1000},
-                       batched, scratch);
-
     for (std::size_t i = 0; i < kQueries; ++i) {
+      cache.lookup_batch({.features = flat, .count = kQueries, .now = 1000},
+                         batched, scratch);
       const std::span<const float> q{flat.data() + i * kDim, kDim};
       const CacheResult single = cache.lookup({.features = q, .now = 1000});
       ASSERT_EQ(batched[i].vote.has_value(), single.vote.has_value())
@@ -98,6 +99,99 @@ TEST(BatchParity, BatchMatchesSingleLookup) {
       EXPECT_EQ(batched[i].candidates, single.candidates) << "query " << i;
       EXPECT_EQ(batched[i].latency, single.latency) << "query " << i;
     }
+  }
+}
+
+// Per-entry eviction recency: id -> (last_access, access_count).
+std::map<VecId, std::pair<SimTime, std::uint64_t>> recency(
+    const ApproxCache& cache) {
+  std::map<VecId, std::pair<SimTime, std::uint64_t>> out;
+  cache.for_each([&out](const CacheEntry& e) {
+    out[e.id] = {e.last_access, e.access_count};
+  });
+  return out;
+}
+
+// lookup() is a count-1 lookup_batch applied at once: two identical caches,
+// one driven by lookup() and one by lookup_batch() + fold_scratch() per
+// frame, end with the same votes, counters, eviction recency, controller
+// state and metrics export, byte for byte.
+TEST(BatchParity, LookupEqualsCountOneBatchAndFold) {
+  for (const IndexKind kind :
+       {IndexKind::kExact, IndexKind::kAdaptiveLsh, IndexKind::kQalsh}) {
+    SCOPED_TRACE(to_string(kind));
+    const ApproxCacheConfig cfg = test_config(kind, /*capacity=*/320);
+    ApproxCache single{kDim, cfg, make_lru_policy()};
+    ApproxCache batched{kDim, cfg, make_lru_policy()};
+    MetricsRegistry single_metrics;
+    MetricsRegistry batched_metrics;
+    single.attach_metrics(single_metrics);
+    batched.attach_metrics(batched_metrics);
+
+    Rng rng{21};
+    std::vector<FeatureVec> stored;
+    for (std::size_t i = 0; i < 256; ++i) {
+      stored.push_back(random_unit(rng));
+      for (ApproxCache* c : {&single, &batched}) {
+        c->insert(stored.back(), static_cast<Label>(i % 16), 0.9f,
+                  static_cast<SimTime>(i));
+      }
+    }
+
+    // Perturbed stored views (hits) interleaved with fresh vectors.
+    CacheQueryScratch scratch = batched.make_scratch();
+    std::vector<CacheResult> out(1);
+    for (std::size_t i = 0; i < 160; ++i) {
+      FeatureVec q = random_unit(rng);
+      if (i % 2 == 0) {
+        const FeatureVec& base = stored[(i * 7) % stored.size()];
+        for (std::size_t d = 0; d < kDim; ++d) q[d] = base[d] + 0.02f * q[d];
+        normalize(q);
+      }
+      const SimTime now = 1000 + static_cast<SimTime>(i);
+      const CacheResult a = single.lookup({.features = q, .now = now});
+      batched.lookup_batch({.features = q, .now = now}, out, scratch);
+      batched.fold_scratch(scratch);
+      const CacheResult& b = out[0];
+      ASSERT_EQ(a.vote.has_value(), b.vote.has_value()) << "query " << i;
+      if (a.vote.has_value()) {
+        EXPECT_EQ(a.vote->label, b.vote->label);
+        EXPECT_EQ(a.vote->voters, b.vote->voters);
+        EXPECT_EQ(a.vote->homogeneity, b.vote->homogeneity);
+        EXPECT_EQ(a.vote->nearest_distance, b.vote->nearest_distance);
+      }
+      EXPECT_EQ(a.candidates, b.candidates) << "query " << i;
+      EXPECT_EQ(a.latency, b.latency) << "query " << i;
+    }
+    EXPECT_GT(single.counters().get("hit"), 0u);
+    EXPECT_GT(single.counters().get("miss"), 0u);
+    EXPECT_EQ(recency(single), recency(batched));
+
+    // Same recency, same victims: overflow the capacity in both.
+    for (std::size_t i = 0; i < 100; ++i) {
+      const FeatureVec v = random_unit(rng);
+      for (ApproxCache* c : {&single, &batched}) {
+        c->insert(v, 3, 0.9f, 2000 + static_cast<SimTime>(i));
+      }
+    }
+    EXPECT_GT(single.counters().get("evict"), 0u);
+    EXPECT_EQ(recency(single), recency(batched));
+    EXPECT_EQ(single.counters().items(), batched.counters().items());
+
+    if (kind == IndexKind::kAdaptiveLsh) {
+      const auto& a = dynamic_cast<const AdaptiveLshIndex&>(single.index());
+      const auto& b = dynamic_cast<const AdaptiveLshIndex&>(batched.index());
+      EXPECT_GE(a.rebuild_count(), 1u);
+      EXPECT_EQ(a.rebuild_count(), b.rebuild_count());
+      EXPECT_EQ(a.current_width(), b.current_width());
+    }
+    if (kind == IndexKind::kQalsh) {
+      const auto& a = dynamic_cast<const QalshIndex&>(single.index());
+      const auto& b = dynamic_cast<const QalshIndex&>(batched.index());
+      EXPECT_NE(a.start_radius(), cfg.qalsh.r0);
+      EXPECT_EQ(a.start_radius(), b.start_radius());
+    }
+    EXPECT_EQ(single_metrics.to_json(), batched_metrics.to_json());
   }
 }
 
@@ -187,6 +281,58 @@ TEST(FoldScratch, FeedsAdaptiveWidthController) {
   // and the 64.0 width triggers a rebuild at fold time.
   EXPECT_GE(alsh->rebuild_count(), 1u);
   EXPECT_LT(alsh->current_width(), 64.0f);
+}
+
+// ------------------------------------------------------ Observability
+
+// The serving path is as visible as the simulation path: a fold lands one
+// "cache/lookup_us", "cache/nearest_distance" and "ann/candidates" sample
+// per batched frame, up to the scratch's per-query sample bound; hit/miss
+// tallies stay exact past it.
+TEST(FoldScratch, RecordsPerQueryInstruments) {
+  ApproxCache cache{kDim, test_config(IndexKind::kAdaptiveLsh),
+                    make_lru_policy()};
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
+  Rng rng{29};
+  std::vector<float> flat;
+  for (std::size_t i = 0; i < 256; ++i) {
+    const FeatureVec v = random_unit(rng);
+    cache.insert(v, static_cast<Label>(i % 16), 0.9f,
+                 static_cast<SimTime>(i));
+    // Stored vectors as queries: each finds at least itself.
+    if (i < 64) flat.insert(flat.end(), v.begin(), v.end());
+  }
+  const auto count = [&metrics](const char* name) {
+    const auto* h = metrics.find_histogram(name);
+    return h == nullptr ? std::uint64_t{0} : h->count;
+  };
+
+  constexpr std::size_t kFrames = 64;
+  static_assert(kFrames <= CacheQueryScratch::kMaxSamples);
+  CacheQueryScratch scratch = cache.make_scratch();
+  std::vector<CacheResult> out(kFrames);
+  cache.lookup_batch({.features = flat, .count = kFrames, .now = 300}, out,
+                     scratch);
+  EXPECT_EQ(count("cache/lookup_us"), 0u);  // deferred until the fold
+  cache.fold_scratch(scratch);
+  EXPECT_EQ(count("cache/lookup_us"), kFrames);
+  EXPECT_EQ(count("cache/nearest_distance"), kFrames);
+  EXPECT_EQ(count("ann/candidates"), kFrames);
+
+  // Past the bound, the histograms keep kMaxSamples per fold.
+  constexpr std::size_t kOver = CacheQueryScratch::kMaxSamples + 40;
+  const std::vector<float> many = pack_queries(rng, kOver);
+  std::vector<CacheResult> many_out(kOver);
+  cache.lookup_batch({.features = many, .count = kOver, .now = 400},
+                     many_out, scratch);
+  cache.fold_scratch(scratch);
+  EXPECT_EQ(count("cache/lookup_us"),
+            kFrames + CacheQueryScratch::kMaxSamples);
+  EXPECT_EQ(count("ann/candidates"),
+            kFrames + CacheQueryScratch::kMaxSamples);
+  EXPECT_EQ(cache.counters().get("hit") + cache.counters().get("miss"),
+            kFrames + kOver);
 }
 
 // ------------------------------------------------------ API validation

@@ -42,10 +42,27 @@ void* operator new[](std::size_t size) {
   return std::malloc(size == 0 ? 1 : size);
 }
 
+// The nothrow forms too: std::inplace_merge (QALSH line merges) allocates
+// its temporary buffer with them, and a runtime-provided nothrow new paired
+// with the free() below is an allocator mismatch under AddressSanitizer.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace apx {
 namespace {
@@ -345,14 +362,14 @@ TEST(QalshController, FeedbackRaisesStartRadiusAndPreservesRecall) {
   std::vector<Neighbor> out;
   QueryStats st;
   std::size_t rounds_before = 0;
-  std::vector<float> dks;
+  std::vector<QueryStats> reports;
   for (const FeatureVec& q : queries) {
     index.query_into(q, 4, out, &st);
     rounds_before += st.rounds;
-    if (!out.empty()) dks.push_back(out.back().distance);
+    reports.push_back(st);
   }
 
-  index.observe_query_feedback(dks, queries.size());
+  index.observe_query_feedback(reports, queries.size());
   EXPECT_GT(index.start_radius(), p.r0);
 
   std::size_t rounds_after = 0;
@@ -448,8 +465,13 @@ TEST(QalshMetrics, RegistersWholeSubsystemAndCountsStops) {
   Rng rng{7};
   for (VecId id = 0; id < 100; ++id) index.insert(id, random_unit(rng, 8));
   constexpr std::size_t kQueries = 30;
+  // Queries record nothing themselves: their reports reach the
+  // instruments through observe_query_feedback, as the cache hands them.
+  std::vector<Neighbor> out;
+  QueryStats st;
   for (std::size_t q = 0; q < kQueries; ++q) {
-    (void)index.query(random_unit(rng, 8), 4);
+    index.query_into(random_unit(rng, 8), 4, out, &st);
+    index.observe_query_feedback({&st, 1}, 1);
   }
   // All-or-nothing: every instrument of the "ann/qalsh" group exists even
   // if its stop reason never fired.

@@ -2,6 +2,7 @@
 # Tier-1 flow plus sanitizer sweeps.
 #
 #   tools/check.sh            # tier-1: default build + full ctest
+#                             # + perfbench build and smoke run
 #                             # + release apxsim ladder-matrix smoke check
 #                             #   (every preset + the warm-tier ladder,
 #                             #    metrics schema validated per export)
@@ -17,6 +18,11 @@ cd "$(dirname "$0")/.."
 cmake --preset default
 cmake --build --preset default -j
 ctest --preset default -j
+
+# The repository benchmark (perfbench/) compiles against the library's
+# public headers (ApproxCache, NnIndex, ...): build it and smoke-run every
+# workload, so an API change that breaks the benchmark fails here.
+python3 perfbench/test_smoke.py
 
 # Ladder-matrix smoke check: run the release-preset driver over every
 # named preset plus the warm-tier ladder (2-device scenario), validating
