@@ -14,12 +14,12 @@ int main() {
          "latency falls / reuse rises with peers, then saturates");
 
   TextTable table;
-  table.header({"devices", "mean ms", "p95 ms", "reuse", "peer-assisted",
-                "adverts", "merged entries"});
+  table.header({"devices", "mean ms", "p95 ms", "reuse", "adverts",
+                "merged entries"});
   for (const int devices : {1, 2, 3, 4, 6, 8}) {
     // Churn-heavy regime: devices keep encountering objects they have not
     // personally seen, which is where collaboration pays — a peer's entry
-    // (~10 ms round trip) replaces a full inference.
+    // (merged from a pushed advert) replaces a full inference.
     ScenarioConfig cfg = evaluation_scenario();
     // Static-image workload (the abstract's other headline case): a photo
     // app snapping a different object every couple of seconds. No temporal
@@ -48,19 +48,14 @@ int main() {
     ExperimentRunner runner{cfg};
     const ExperimentMetrics m = runner.run();
     const Counter p2p = runner.p2p_counters();
-    // "Peer-assisted" pools direct peer-cache hits with local hits on
-    // entries that arrived via gossip (counted as merges).
     table.row({std::to_string(devices), TextTable::num(m.mean_latency_ms()),
                TextTable::num(m.latency_quantile_ms(0.95)),
                TextTable::num(m.reuse_ratio(), 3),
-               TextTable::num(m.source_fraction(ResultSource::kPeerCacheHit),
-                              4),
                std::to_string(p2p.get("advert_sent")),
                std::to_string(p2p.get("merged"))});
   }
   std::printf("%s", table.render().c_str());
-  std::printf("\nNote: with gossip on, most collaboration value lands as "
-              "local-cache hits on merged entries; the peer-cache column "
-              "counts only synchronous remote round trips.\n");
+  std::printf("\nNote: peers collaborate through pushed adverts only; "
+              "merged entries answer later frames as local-cache hits.\n");
   return 0;
 }

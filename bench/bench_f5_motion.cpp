@@ -42,10 +42,8 @@ int main() {
                TextTable::num(m.accuracy(), 3),
                TextTable::num(m.source_fraction(ResultSource::kImuFastPath), 3),
                TextTable::num(m.source_fraction(ResultSource::kTemporalReuse), 3),
-               TextTable::num(
-                   m.source_fraction(ResultSource::kLocalCacheHit) +
-                       m.source_fraction(ResultSource::kPeerCacheHit),
-                   3),
+               TextTable::num(m.source_fraction(ResultSource::kLocalCacheHit),
+                              3),
                TextTable::num(m.source_fraction(ResultSource::kFullInference),
                               3)});
   }

@@ -2,10 +2,9 @@
 // in/out-of-range churn sweep, and two fault-injection exhibits (burst loss
 // at increasing levels; a partition that heals mid-run). Expected shape:
 // graceful degradation — higher loss and faster churn shrink the P2P
-// contribution toward the solo-caching level, but never below it (the
-// system falls back to local reuse + inference, lost lookups cost only the
-// bounded timeout, and sustained timeouts trip the backoff so a cut-off
-// device stops paying even that).
+// contribution toward the solo-caching level, but never below it (peers
+// only push adverts, so a lost advert costs a later inference, never a
+// wait: no frame blocks on the network).
 
 #include "bench/common.hpp"
 
@@ -50,7 +49,7 @@ int main() {
 
   std::printf("--- radio loss sweep ---\n");
   TextTable loss_table;
-  loss_table.header({"loss prob", "mean ms", "reuse", "merged", "timeouts?"});
+  loss_table.header({"loss prob", "mean ms", "reuse", "adverts", "merged"});
   for (const double loss : {0.0, 0.05, 0.15, 0.30, 0.60}) {
     ScenarioConfig cfg = churny();
     cfg.medium.loss_prob = loss;
@@ -59,15 +58,11 @@ int main() {
     ExperimentRunner runner{cfg};
     const ExperimentMetrics m = runner.run();
     const Counter p2p = runner.p2p_counters();
-    // Lookups whose responses were all lost pay the timeout.
-    const std::uint64_t sent = p2p.get("lookup_sent");
-    const std::uint64_t resp = p2p.get("response_recv");
     loss_table.row({TextTable::num(loss, 2),
                     TextTable::num(m.mean_latency_ms()),
                     TextTable::num(m.reuse_ratio(), 3),
-                    std::to_string(p2p.get("merged")),
-                    std::to_string(sent) + " lookups / " +
-                        std::to_string(resp) + " responses"});
+                    std::to_string(p2p.get("advert_sent")),
+                    std::to_string(p2p.get("merged"))});
   }
   std::printf("%s\n", loss_table.render().c_str());
 
@@ -89,14 +84,13 @@ int main() {
   std::printf("%s\n", churn_table.render().c_str());
 
   // Bursty loss is harsher than i.i.d. loss at the same rate: a bad-state
-  // dwell swallows a whole lookup round (request + every response), so
-  // rounds time out instead of thinning. The accuracy column is the
-  // headline: it must stay within ~2 points of the 0% row while latency
-  // degrades toward (never past) solo.
+  // dwell swallows every advert a receiver would hear in it. The accuracy
+  // column is the headline: it must stay within ~2 points of the 0% row
+  // while latency degrades toward (never past) solo.
   std::printf("--- burst loss sweep (Gilbert-Elliott, --faults burst:L) ---\n");
   TextTable burst_table;
   burst_table.header({"burst loss", "mean ms", "accuracy", "reuse",
-                      "degraded rounds", "backoff skips"});
+                      "merged"});
   for (const double loss : {0.0, 0.1, 0.2, 0.4, 0.6}) {
     ScenarioConfig cfg = churny();
     cfg.pipeline = make_full_system_config();
@@ -107,15 +101,15 @@ int main() {
     burst_table.row(
         {TextTable::num(loss, 1), TextTable::num(m.mean_latency_ms()),
          TextTable::num(m.accuracy(), 4), TextTable::num(m.reuse_ratio(), 3),
-         std::to_string(runner.metrics().counter_value("p2p/degraded")),
-         std::to_string(runner.metrics().counter_value("p2p/backoff_skip"))});
+         std::to_string(runner.p2p_counters().get("merged"))});
   }
   std::printf("%s\n", burst_table.render().c_str());
 
   // Partition-heal timeline: the cell shatters at t=40 s and heals at
   // t=80 s. Per-10 s buckets show the three regimes — collaborating, cut
-  // off (backoff converges the ladder to standalone latency), and
+  // off (no adverts arrive, so the ladder runs at standalone latency), and
   // re-collaborating after heal (re-discovery + adverts re-warm the fleet).
+  // Entries merged from peers answer as local-cache hits.
   std::printf("--- partition-heal timeline (full partition 40..80 s) ---\n");
   {
     ScenarioConfig cfg = churny();
@@ -130,16 +124,18 @@ int main() {
     constexpr SimDuration kBucket = 10 * kSecond;
     TextTable timeline;
     timeline.header(
-        {"window s", "state", "mean ms", "dnn share", "p2p hits", "frames"});
+        {"window s", "state", "mean ms", "dnn share", "local hits",
+         "frames"});
     for (SimTime lo = 0; lo < cfg.duration; lo += kBucket) {
       double latency_ms_sum = 0.0;
-      std::uint64_t frames = 0, p2p_hits = 0, dnn = 0;
+      std::uint64_t frames = 0, local_hits = 0, dnn = 0;
       for (const TraceEvent& ev : runner.trace().events()) {
         const SimTime t = ev.result.frame_time;
         if (t < lo || t >= lo + kBucket) continue;
         ++frames;
         latency_ms_sum += static_cast<double>(ev.result.latency) / 1000.0;
-        p2p_hits += ev.result.source == ResultSource::kPeerCacheHit ? 1 : 0;
+        local_hits +=
+            ev.result.source == ResultSource::kLocalCacheHit ? 1 : 0;
         dnn += ev.result.source == ResultSource::kFullInference ? 1 : 0;
       }
       const bool cut = lo >= cfg.faults.partition_start &&
@@ -156,7 +152,7 @@ int main() {
                        : TextTable::num(static_cast<double>(dnn) /
                                             static_cast<double>(frames),
                                         2),
-           std::to_string(p2p_hits), std::to_string(frames)});
+           std::to_string(local_hits), std::to_string(frames)});
     }
     std::printf("%s", timeline.render().c_str());
   }

@@ -38,7 +38,7 @@ int main() {
       double reuse_correct = 0.0, reuse_answered = 0.0;
       for (const ResultSource source :
            {ResultSource::kImuFastPath, ResultSource::kTemporalReuse,
-            ResultSource::kLocalCacheHit, ResultSource::kPeerCacheHit}) {
+            ResultSource::kLocalCacheHit}) {
         const double fraction = m.source_fraction(source);
         reuse_answered += fraction;
         reuse_correct += fraction * m.accuracy_by_source(source);

@@ -88,9 +88,11 @@ int main(int argc, char** argv) {
   std::printf("%s\n", devices.render().c_str());
 
   const apx::Counter p2p = collaborative.p2p_counters();
-  std::printf("P2P activity: %llu lookups, %llu adverts, %llu entries merged\n",
-              static_cast<unsigned long long>(p2p.get("lookup_sent")),
-              static_cast<unsigned long long>(p2p.get("advert_sent")),
-              static_cast<unsigned long long>(p2p.get("merged")));
+  std::printf(
+      "P2P activity: %llu adverts carrying %llu entries, %llu entries "
+      "merged\n",
+      static_cast<unsigned long long>(p2p.get("advert_sent")),
+      static_cast<unsigned long long>(p2p.get("advert_entries")),
+      static_cast<unsigned long long>(p2p.get("merged")));
   return 0;
 }

@@ -77,8 +77,8 @@ struct PipelineConfig {
   bool enable_temporal = true;      ///< frame-diff keyframe reuse
   bool enable_regions = false;      ///< block-level activation reuse
   bool enable_warm_tier = false;    ///< quantized prototype scan before local
-  bool enable_p2p = true;           ///< peer lookup before DNN fallback
-  bool enable_edge = false;         ///< region edge cache after p2p
+  bool enable_p2p = true;           ///< peer adverts merge into local cache
+  bool enable_edge = false;         ///< region edge cache before the DNN
   /// Feedback-tune the similarity threshold from DNN-validated frames
   /// (extension beyond the poster; see threshold_controller.hpp).
   bool enable_adaptive_threshold = false;

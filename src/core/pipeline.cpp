@@ -11,15 +11,15 @@ namespace apx {
 ReusePipeline::ReusePipeline(EventSimulator& sim, const PipelineConfig& config,
                              const FeatureExtractor& extractor,
                              RecognitionModel& model, ApproxCache* cache,
-                             ExactCache* exact_cache, PeerCacheService* peers,
-                             EdgeClient* edge, std::uint64_t seed)
+                             ExactCache* exact_cache,
+                             PeerCacheService* /*peers*/, EdgeClient* edge,
+                             std::uint64_t seed)
     : sim_(&sim),
       config_(config),
       extractor_(&extractor),
       model_(&model),
       cache_(cache),
       exact_cache_(exact_cache),
-      peers_(peers),
       edge_(edge),
       rng_(seed),
       threshold_(config.threshold) {
@@ -46,9 +46,8 @@ ReusePipeline::ReusePipeline(EventSimulator& sim, const PipelineConfig& config,
         "ReusePipeline: regions rung needs a staged-CNN extractor "
         "(--extractor cnn)");
   }
-  const RungBuildContext build_ctx{&config_, &spec_,       extractor_,
-                                   model_,   cache_,       exact_cache_,
-                                   peers_,   edge_};
+  const RungBuildContext build_ctx{&config_, &spec_, extractor_, model_,
+                                   cache_,   exact_cache_, edge_};
   rungs_ = build_ladder(spec_, build_ctx);
   register_instruments(owned_metrics_);
 }

@@ -5,16 +5,19 @@
 //   frame -> [IMU fast path] -> [temporal keyframe reuse]
 //         -> [quantized warm tier (optional)]
 //         -> [feature extraction -> local approximate cache (A-LSH + H-kNN)]
-//         -> [P2P lookup, merge, re-vote] -> full DNN inference
+//         -> [region edge cache (optional)] -> full DNN inference
+//
+// Nearby peers feed the local cache from the side: a PeerCacheService
+// merges their pushed adverts into it, so a frame never waits on them.
 //
 // The ladder is data, not code: a vector of ReuseRung plugins built from a
 // LadderSpec (core/rungs/ladder.hpp) — either the declarative string in
 // PipelineConfig::ladder or the spec derived from the config's enable_*
 // flags. The pipeline itself is only the driver: frame admission, the
 // epoch-guarded scheduling seam, metrics plumbing and result delivery.
-// Each rung pays its simulated on-device cost; the P2P rung additionally
+// Each rung pays its simulated on-device cost; the edge rung additionally
 // waits for the network round (event-driven). Results are delivered
-// through a completion callback because the P2P and inference stages are
+// through a completion callback because the edge and inference stages are
 // asynchronous in simulated time.
 
 #include <functional>
@@ -42,7 +45,9 @@ namespace apx {
 /// Single in-flight frame: process() refuses (returns false) while a frame
 /// is being worked on, modelling a mobile app that drops frames when the
 /// recognizer is busy. All referenced collaborators must outlive the
-/// pipeline; `peers` may be null (single-device deployments).
+/// pipeline. `peers` is the device's P2P endpoint when the ladder has
+/// "p2p"; it runs beside the pipeline (its adverts merge into `cache`), so
+/// the pipeline never calls it, and it may be null.
 class ReusePipeline {
  public:
   using Callback = std::function<void(const RecognitionResult&)>;
@@ -161,7 +166,6 @@ class ReusePipeline {
   RecognitionModel* model_;
   ApproxCache* cache_;
   ExactCache* exact_cache_;
-  PeerCacheService* peers_;
   EdgeClient* edge_;
   Rng rng_;
 

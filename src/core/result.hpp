@@ -14,7 +14,10 @@ enum class ResultSource : std::uint8_t {
   kImuFastPath = 0,   ///< device stationary: inherited last confirmed result
   kTemporalReuse = 1, ///< frame-diff keyframe reuse
   kLocalCacheHit = 2, ///< approximate cache hit from locally held entries
-  kPeerCacheHit = 3,  ///< hit enabled by a P2P lookup round-trip
+  /// Never produced: peers collaborate through adverts only, and merged
+  /// entries answer as kLocalCacheHit. Kept so the numbering (serialized in
+  /// traces), the "peer-cache" export name and its schema counter stay.
+  kPeerCacheHit = 3,
   kFullInference = 4, ///< the DNN ran
   kWarmCacheHit = 5,  ///< quantized warm-tier prototype match
   kEdgeCacheHit = 6,  ///< hit served by the region edge cache

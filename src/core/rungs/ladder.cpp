@@ -10,7 +10,6 @@
 #include "src/core/rungs/exact_cache.hpp"
 #include "src/core/rungs/imu_gate.hpp"
 #include "src/core/rungs/local_cache.hpp"
-#include "src/core/rungs/p2p.hpp"
 #include "src/core/rungs/regions.hpp"
 #include "src/core/rungs/temporal.hpp"
 #include "src/core/rungs/warm_tier.hpp"
@@ -263,7 +262,7 @@ LadderSpec LadderSpec::parse(std::string_view text) {
   }
   if (spec.has("p2p") && !spec.has("local")) {
     bad_spec(text,
-             "'p2p' requires 'local' (the P2P rung re-votes the local "
+             "'p2p' requires 'local' (peer adverts merge into the local "
              "approximate cache)");
   }
   // The QALSH guarantee knobs configure the query-aware backend, so they
@@ -562,7 +561,9 @@ RungRegistry::RungRegistry() {
        {"delta", ArgKind::kFraction},
        {"beta", ArgKind::kFraction}});
   add("exact", 4, &make_exact_cache_rung);
-  add("p2p", 5, &make_p2p_rung);
+  // Provisioning-only: the token gives each device a PeerCacheService, whose
+  // adverts merge into the local cache; no per-frame rung runs for it.
+  add("p2p", 5, nullptr);
   add("edge", 6, &make_edge_rung,
       {{"shards", ArgKind::kUint},
        {"capacity", ArgKind::kUint},
@@ -615,7 +616,8 @@ std::vector<std::unique_ptr<ReuseRung>> build_ladder(
   rungs.push_back(registry.find("imu")->factory(ctx));
   for (const std::string& token : spec.tokens) {
     if (token == "imu") continue;  // the entry rung above covers it
-    rungs.push_back(registry.find(token)->factory(ctx));
+    const RungRegistry::Factory factory = registry.find(token)->factory;
+    if (factory != nullptr) rungs.push_back(factory(ctx));
   }
   return rungs;
 }

@@ -33,7 +33,11 @@
 //     "dnn(q8)", "edge(shards=0)" and "edge(ttl=abc)" are all rejected,
 //     as is any malformed form);
 //   * the spec must end with "dnn" (the ladder's unconditional answerer);
-//   * "p2p" requires "local" (the P2P rung re-votes the approximate cache).
+//   * "p2p" requires "local" (peer adverts merge into the approximate cache).
+//
+// "p2p" is a provisioning token: it gives each device a PeerCacheService
+// (discovery, adverts, merge) but builds no per-frame rung, so frames never
+// wait on the network for it. Merged entries answer as local-cache hits.
 //
 // The named make_*_config() presets are ladder specs (see config.cpp), and
 // `apxsim --ladder 'imu,temporal,warm,local(q8),p2p,edge(shards=4),dnn'`
@@ -121,6 +125,8 @@ class RungRegistry {
   struct Entry {
     std::string name;
     int rank = 0;  ///< ladder position class; specs must strictly increase
+    /// Null for a provisioning-only token ("p2p"): it is valid in specs
+    /// and sets its config flag, but build_ladder() makes no rung for it.
     Factory factory = nullptr;
     /// Arguments this rung accepts in "name(arglist)" spec tokens. Empty
     /// for most rungs; "local" registers {{"q8"}}, "edge" its four knobs.
@@ -144,10 +150,11 @@ class RungRegistry {
   std::vector<Entry> entries_;
 };
 
-/// Instantiates the rung chain for `spec`. The IMU rung doubles as the
-/// frame-admission hop, so it is always first — even for specs without
-/// "imu", where it runs inert (zero cost, no span); this keeps the event
-/// schedule identical across every configuration.
+/// Instantiates the rung chain for `spec`; tokens without a factory are
+/// skipped. The IMU rung doubles as the frame-admission hop, so it is
+/// always first — even for specs without "imu", where it runs inert (zero
+/// cost, no span); this keeps the event schedule identical across every
+/// configuration.
 std::vector<std::unique_ptr<ReuseRung>> build_ladder(
     const LadderSpec& spec, const RungBuildContext& ctx);
 

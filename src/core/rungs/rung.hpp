@@ -31,7 +31,6 @@ class FeatureExtractor;
 class RecognitionModel;
 class ApproxCache;
 class ExactCache;
-class PeerCacheService;
 class EdgeClient;
 struct LadderSpec;
 
@@ -59,7 +58,6 @@ struct RungBuildContext {
   RecognitionModel* model = nullptr;
   ApproxCache* cache = nullptr;
   ExactCache* exact_cache = nullptr;
-  PeerCacheService* peers = nullptr;
   EdgeClient* edge = nullptr;
 };
 

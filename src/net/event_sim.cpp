@@ -1,5 +1,6 @@
 #include "src/net/event_sim.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -8,7 +9,8 @@ namespace apx {
 void EventSimulator::schedule_at(SimTime t, Handler fn) {
   assert(fn);
   if (t < now_) t = now_;
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  queue_.push_back(Event{t, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 void EventSimulator::schedule_after(SimDuration delay, Handler fn) {
@@ -17,8 +19,9 @@ void EventSimulator::schedule_after(SimDuration delay, Handler fn) {
 
 bool EventSimulator::step() {
   if (queue_.empty()) return false;
-  Event ev = queue_.top();  // copy: top() is const& and pop() destroys it
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
   now_ = ev.t;
   ev.fn();
   return true;
@@ -26,7 +29,7 @@ bool EventSimulator::step() {
 
 std::size_t EventSimulator::run_until(SimTime t) {
   std::size_t executed = 0;
-  while (!queue_.empty() && queue_.top().t <= t) {
+  while (!queue_.empty() && queue_.front().t <= t) {
     step();
     ++executed;
   }

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/util/clock.hpp"
@@ -53,7 +52,10 @@ class EventSimulator {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary heap under Later (earliest event at front). A plain vector
+  /// rather than std::priority_queue so step() can move the event out
+  /// instead of copying its handler and captured payload.
+  std::vector<Event> queue_;
 };
 
 }  // namespace apx

@@ -89,7 +89,9 @@ void WirelessMedium::unicast(NodeId from, NodeId to,
                       (static_cast<double>(payload.size()) / 1024.0);
   counters_.inc("tx");
   counters_.inc("tx_bytes", payload.size());
-  if (nodes_.at(to).cell != sender.cell) {
+  // Responders address replies to a decoded sender id, which in-flight
+  // corruption can turn into an id no node has: nobody is in range of it.
+  if (to >= nodes_.size() || nodes_[to].cell != sender.cell) {
     counters_.inc("dropped_range");
     return;
   }

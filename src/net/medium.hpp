@@ -55,6 +55,8 @@ class WirelessMedium {
 
   /// Sends to one node. Delivery only if the peer is in the same cell at
   /// send time; otherwise the message is silently dropped (out of range).
+  /// A `to` that names no node counts as out of range too. `from` must be
+  /// a registered node.
   void unicast(NodeId from, NodeId to, std::vector<std::uint8_t> payload);
 
   /// Sends to every node in the sender's cell.

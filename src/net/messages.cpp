@@ -74,26 +74,6 @@ std::vector<std::uint8_t> encode(const HelloMsg& msg) {
   return w.take();
 }
 
-std::vector<std::uint8_t> encode(const LookupRequestMsg& msg) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kLookupRequest));
-  w.u64(msg.request_id);
-  w.u32(msg.sender);
-  w.u32(msg.k);
-  w.f32_vec(msg.query);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode(const LookupResponseMsg& msg) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kLookupResponse));
-  w.u64(msg.request_id);
-  w.u32(msg.sender);
-  w.varint(msg.entries.size());
-  for (const auto& e : msg.entries) write_entry(w, e);
-  return w.take();
-}
-
 std::vector<std::uint8_t> encode(const EntryAdvertMsg& msg) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(MsgType::kEntryAdvert));
@@ -139,29 +119,6 @@ HelloMsg decode_hello(const std::vector<std::uint8_t>& payload) {
   HelloMsg msg;
   msg.sender = r.u32();
   msg.cache_size = r.u32();
-  return msg;
-}
-
-LookupRequestMsg decode_lookup_request(
-    const std::vector<std::uint8_t>& payload) {
-  Reader r = open(payload, MsgType::kLookupRequest);
-  LookupRequestMsg msg;
-  msg.request_id = r.u64();
-  msg.sender = r.u32();
-  msg.k = r.u32();
-  msg.query = r.f32_vec();
-  return msg;
-}
-
-LookupResponseMsg decode_lookup_response(
-    const std::vector<std::uint8_t>& payload) {
-  Reader r = open(payload, MsgType::kLookupResponse);
-  LookupResponseMsg msg;
-  msg.request_id = r.u64();
-  msg.sender = r.u32();
-  const std::uint64_t n = read_entry_count(r);
-  msg.entries.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) msg.entries.push_back(read_entry(r));
   return msg;
 }
 

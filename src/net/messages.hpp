@@ -13,11 +13,10 @@
 
 namespace apx {
 
-/// Protocol message kinds.
+/// Protocol message kinds. Values 2 and 3 are unassigned, and stay so that
+/// no other kind's encoding changes; receivers drop them as unknown.
 enum class MsgType : std::uint8_t {
   kHello = 1,           ///< periodic discovery beacon
-  kLookupRequest = 2,   ///< "does anyone recognize this feature vector?"
-  kLookupResponse = 3,  ///< neighbours' matching entries
   kEntryAdvert = 4,     ///< push of freshly computed entries
   kEdgeLookupRequest = 5,   ///< device → edge service query
   kEdgeLookupResponse = 6,  ///< edge service vote (or miss) back to device
@@ -46,21 +45,6 @@ struct WireEntry {
   /// affine-quantized instead of float32 (~3.7x smaller payload; see
   /// ann/quantize.hpp). Receivers get the dequantized floats either way.
   bool quantize_on_wire = false;
-};
-
-/// Remote cache lookup.
-struct LookupRequestMsg {
-  std::uint64_t request_id = 0;
-  NodeId sender = 0;
-  FeatureVec query;
-  std::uint32_t k = 4;
-};
-
-/// Answer to a LookupRequest; empty `entries` means "no match".
-struct LookupResponseMsg {
-  std::uint64_t request_id = 0;
-  NodeId sender = 0;
-  std::vector<WireEntry> entries;
 };
 
 /// Unsolicited advertisement of new results (gossip).
@@ -99,8 +83,6 @@ struct EdgeFeedMsg {
 };
 
 std::vector<std::uint8_t> encode(const HelloMsg& msg);
-std::vector<std::uint8_t> encode(const LookupRequestMsg& msg);
-std::vector<std::uint8_t> encode(const LookupResponseMsg& msg);
 std::vector<std::uint8_t> encode(const EntryAdvertMsg& msg);
 std::vector<std::uint8_t> encode(const EdgeLookupRequestMsg& msg);
 std::vector<std::uint8_t> encode(const EdgeLookupResponseMsg& msg);
@@ -108,10 +90,6 @@ std::vector<std::uint8_t> encode(const EdgeFeedMsg& msg);
 
 /// Decoders; the payload must carry the matching type byte.
 HelloMsg decode_hello(const std::vector<std::uint8_t>& payload);
-LookupRequestMsg decode_lookup_request(
-    const std::vector<std::uint8_t>& payload);
-LookupResponseMsg decode_lookup_response(
-    const std::vector<std::uint8_t>& payload);
 EntryAdvertMsg decode_entry_advert(const std::vector<std::uint8_t>& payload);
 EdgeLookupRequestMsg decode_edge_lookup_request(
     const std::vector<std::uint8_t>& payload);

@@ -15,8 +15,8 @@ PeerCacheService::PeerCacheService(EventSimulator& sim, WirelessMedium& medium,
       cache_(&cache),
       params_(params),
       self_(medium.add_node(
-          [this](NodeId from, const std::vector<std::uint8_t>& payload) {
-            on_message(from, payload);
+          [this](NodeId, const std::vector<std::uint8_t>& payload) {
+            on_message(payload);
           },
           cell)),
       discovery_(
@@ -31,10 +31,6 @@ void PeerCacheService::start() {
   running_ = true;
   ++generation_;
   last_advert_scan_ = sim_->now();
-  // A restart begins a fresh protocol life: no backoff debt carries over.
-  degraded_streak_ = 0;
-  backoff_level_ = 0;
-  suppressed_until_ = 0;
   discovery_.start();
   if (params_.advert_enabled) {
     sim_->schedule_after(params_.advert_interval,
@@ -47,17 +43,9 @@ void PeerCacheService::stop() {
   running_ = false;
   discovery_.stop();
   discovery_.forget_all();
-  // Fail pending lookups in request order (deterministic regardless of the
-  // hash map's iteration order). Callbacks may re-enter the service.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(pending_.size());
-  for (const auto& [id, _] : pending_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint64_t id : ids) complete_lookup(id);
 }
 
-void PeerCacheService::on_message(NodeId from,
-                                  const std::vector<std::uint8_t>& payload) {
+void PeerCacheService::on_message(const std::vector<std::uint8_t>& payload) {
   if (!running_) return;  // a crashed endpoint's radio hears nothing
   try {
     switch (peek_type(payload)) {
@@ -69,14 +57,10 @@ void PeerCacheService::on_message(NodeId from,
         }
         break;
       }
-      case MsgType::kLookupRequest:
-        handle_lookup_request(decode_lookup_request(payload));
-        break;
-      case MsgType::kLookupResponse:
-        handle_lookup_response(decode_lookup_response(payload));
-        break;
       case MsgType::kEntryAdvert:
-        handle_advert(decode_entry_advert(payload));
+        for (const auto& entry : decode_entry_advert(payload).entries) {
+          merge_entry(entry);
+        }
         break;
       default:
         counters_.inc("bad_message");
@@ -85,96 +69,24 @@ void PeerCacheService::on_message(NodeId from,
   } catch (const CodecError&) {
     counters_.inc("bad_message");
   }
-  (void)from;
-}
-
-void PeerCacheService::async_lookup(const FeatureVec& query,
-                                    LookupCallback cb) {
-  const auto neighbors = discovery_.neighbors();
-  const std::uint64_t request_id = next_request_id_++;
-  if (neighbors.empty()) {
-    // Complete through the event loop so callers see uniform asynchrony.
-    sim_->schedule_after(0, [cb = std::move(cb)] { cb({}); });
-    return;
-  }
-  PendingLookup pending;
-  pending.cb = std::move(cb);
-  pending.expected = neighbors.size();
-  pending.start = sim_->now();
-  pending_.emplace(request_id, std::move(pending));
-
-  LookupRequestMsg msg;
-  msg.request_id = request_id;
-  msg.sender = self_;
-  msg.query = query;
-  msg.k = params_.lookup_k;
-  medium_->broadcast(self_, encode(msg));
-  counters_.inc("lookup_sent");
-
-  sim_->schedule_after(params_.lookup_timeout,
-                       [this, request_id] { complete_lookup(request_id); });
-}
-
-void PeerCacheService::complete_lookup(std::uint64_t request_id) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;  // already completed
-  // Move out before erase: the callback may start another lookup.
-  PendingLookup pending = std::move(it->second);
-  pending_.erase(it);
-  const SimDuration round = sim_->now() - pending.start;
-  // A round that ends with answers still missing was bounded by the
-  // timeout (or cut short by a crash): the degraded signal that feeds both
-  // the p2p_degraded observability and the rung backoff.
-  note_round_outcome(pending.received < pending.expected, sim_->now());
-  if (metrics_ != nullptr) {
-    metrics_->record(round_us_hist_, static_cast<double>(round));
-    if (pending.received < pending.expected) {
-      metrics_->record(degraded_round_us_hist_, static_cast<double>(round));
-    }
-  }
-  pending.cb(std::move(pending.collected));
-}
-
-void PeerCacheService::note_round_outcome(bool degraded, SimTime now) {
-  if (!degraded) {
-    degraded_streak_ = 0;
-    backoff_level_ = 0;
-    suppressed_until_ = 0;
-    return;
-  }
-  counters_.inc("degraded");
-  if (params_.backoff_after == 0) return;
-  ++degraded_streak_;
-  if (degraded_streak_ < params_.backoff_after) return;
-  // Exponential growth, capped; each further degraded round after the
-  // threshold extends the suppression at the next level.
-  SimDuration window = params_.backoff_base;
-  for (std::uint32_t i = 0; i < backoff_level_ && window < params_.backoff_max;
-       ++i) {
-    window *= 2;
-  }
-  window = std::min(window, params_.backoff_max);
-  ++backoff_level_;
-  suppressed_until_ = now + window;
-}
-
-bool PeerCacheService::should_attempt(SimTime now) {
-  if (now >= suppressed_until_) return true;
-  counters_.inc("backoff_skip");
-  return false;
 }
 
 void PeerCacheService::attach_metrics(MetricsRegistry& metrics) {
-  metrics_ = &metrics;
-  round_us_hist_ = metrics.histogram("p2p/round_us", latency_us_bounds());
-  degraded_round_us_hist_ =
-      metrics.histogram("p2p/degraded_round_us", latency_us_bounds());
-  metrics.counter("p2p/lookup_sent");
-  metrics.counter("p2p/response_sent");
-  metrics.counter("p2p/response_recv");
+  metrics.counter("p2p/advert_sent");
   metrics.counter("p2p/merged");
-  metrics.counter("p2p/degraded");
-  metrics.counter("p2p/backoff_skip");
+  metrics.counter("p2p/merge_dup");
+}
+
+WireEntry PeerCacheService::to_wire(const CacheEntry& entry) const {
+  WireEntry wire;
+  wire.feature = entry.feature;
+  wire.label = entry.label;
+  wire.confidence = entry.confidence;
+  wire.hop_count = entry.hop_count;
+  wire.source_device = entry.source_device;
+  wire.age = std::max<SimDuration>(0, sim_->now() - entry.insert_time);
+  wire.quantize_on_wire = params_.quantize_wire_features;
+  return wire;
 }
 
 void PeerCacheService::push_hotset(NodeId newcomer) {
@@ -195,75 +107,10 @@ void PeerCacheService::push_hotset(NodeId newcomer) {
   }
   EntryAdvertMsg msg;
   msg.sender = self_;
-  for (const CacheEntry* entry : hot) {
-    WireEntry wire;
-    wire.feature = entry->feature;
-    wire.label = entry->label;
-    wire.confidence = entry->confidence;
-    wire.hop_count = entry->hop_count;
-    wire.source_device = entry->source_device;
-    wire.age = std::max<SimDuration>(0, sim_->now() - entry->insert_time);
-    wire.quantize_on_wire = params_.quantize_wire_features;
-    msg.entries.push_back(std::move(wire));
-  }
+  for (const CacheEntry* entry : hot) msg.entries.push_back(to_wire(*entry));
   medium_->unicast(self_, newcomer, encode(msg));
   counters_.inc("hotset_push");
   counters_.inc("hotset_entries", msg.entries.size());
-}
-
-void PeerCacheService::handle_lookup_request(const LookupRequestMsg& msg) {
-  LookupResponseMsg resp;
-  resp.request_id = msg.request_id;
-  resp.sender = self_;
-  if (!msg.query.empty() && msg.query.size() == cache_->dim()) {
-    // Answer from the raw entry set: share the neighbours themselves and
-    // let the requester run its own H-kNN over the merged pool.
-    std::vector<std::pair<float, const CacheEntry*>> close;
-    cache_->for_each([&](const CacheEntry& entry) {
-      const float d = l2(msg.query, entry.feature);
-      if (d <= params_.response_max_distance) close.emplace_back(d, &entry);
-    });
-    std::sort(close.begin(), close.end(),
-              [](const auto& a, const auto& b) {
-                return a.first < b.first ||
-                       (a.first == b.first && a.second->id < b.second->id);
-              });
-    const std::size_t take =
-        std::min<std::size_t>(msg.k, close.size());
-    for (std::size_t i = 0; i < take; ++i) {
-      const CacheEntry& entry = *close[i].second;
-      WireEntry wire;
-      wire.feature = entry.feature;
-      wire.label = entry.label;
-      wire.confidence = entry.confidence;
-      wire.hop_count = entry.hop_count;
-      wire.source_device = entry.source_device;
-      wire.age = std::max<SimDuration>(0, sim_->now() - entry.insert_time);
-      wire.quantize_on_wire = params_.quantize_wire_features;
-      resp.entries.push_back(std::move(wire));
-    }
-  }
-  medium_->unicast(self_, msg.sender, encode(resp));
-  counters_.inc("response_sent");
-}
-
-void PeerCacheService::handle_lookup_response(const LookupResponseMsg& msg) {
-  counters_.inc("response_recv");
-  const auto it = pending_.find(msg.request_id);
-  if (it == pending_.end()) return;  // late response after timeout
-  auto& pending = it->second;
-  for (const auto& entry : msg.entries) {
-    pending.collected.push_back(entry);
-    merge_entry(entry);
-  }
-  ++pending.received;
-  if (pending.received >= pending.expected) {
-    complete_lookup(msg.request_id);
-  }
-}
-
-void PeerCacheService::handle_advert(const EntryAdvertMsg& msg) {
-  for (const auto& entry : msg.entries) merge_entry(entry);
 }
 
 bool PeerCacheService::merge_entry(const WireEntry& entry) {
@@ -329,16 +176,7 @@ void PeerCacheService::advert_tick(std::uint64_t generation) {
             ? fresh.size() - params_.advert_batch_max
             : 0;
     for (std::size_t i = start; i < fresh.size(); ++i) {
-      const CacheEntry& entry = fresh[i];
-      WireEntry wire;
-      wire.feature = entry.feature;
-      wire.label = entry.label;
-      wire.confidence = entry.confidence;
-      wire.hop_count = entry.hop_count;
-      wire.source_device = entry.source_device;
-      wire.age = std::max<SimDuration>(0, sim_->now() - entry.insert_time);
-      wire.quantize_on_wire = params_.quantize_wire_features;
-      msg.entries.push_back(std::move(wire));
+      msg.entries.push_back(to_wire(fresh[i]));
     }
     medium_->broadcast(self_, encode(msg));
     counters_.inc("advert_sent");

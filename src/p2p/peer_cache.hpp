@@ -4,17 +4,15 @@
 // device wires its ApproxCache to the network:
 //
 //   * discovery: periodic HELLO beacons maintain a neighbour table;
-//   * pull: async_lookup() broadcasts a feature vector and collects
-//     neighbours' matching entries (completes early once every live
-//     neighbour answered, or at the timeout);
 //   * push: freshly computed local results are gossiped in batched
-//     EntryAdvert messages;
+//     EntryAdvert messages, and a newly discovered peer can be sent the
+//     hot set (the most-accessed local entries);
 //   * merge: received entries join the local cache with hop count + age
 //     provenance, unless a near-duplicate is already cached or the entry
 //     travelled too many hops.
-
-#include <functional>
-#include <unordered_map>
+//
+// Collaboration is push-only: a device never asks its peers about a frame.
+// Merged entries answer later frames as ordinary local-cache hits.
 
 #include "src/cache/approx_cache.hpp"
 #include "src/net/discovery.hpp"
@@ -22,19 +20,9 @@
 
 namespace apx {
 
-class MetricsRegistry;
-
 /// Protocol parameters.
 struct PeerCacheParams {
   DiscoveryParams discovery;
-  /// Upper bound on the wait for neighbour answers; ~2x the medium's RTT.
-  /// Lookups complete early once every live neighbour responded, so this
-  /// binds only when a response is lost.
-  SimDuration lookup_timeout = 15 * kMillisecond;
-  std::uint32_t lookup_k = 4;
-  /// A node answers a remote lookup only with entries this close to the
-  /// query (no point shipping far-away vectors).
-  float response_max_distance = 0.6f;
   std::uint8_t max_hops = 2;         ///< drop entries that travelled further
   float dedup_radius = 0.05f;        ///< skip merge when this close to cached
   double merge_confidence_decay = 0.95;  ///< per-hop confidence discount
@@ -48,22 +36,11 @@ struct PeerCacheParams {
   /// the `hotset_push_max` most-accessed local entries so it starts warm —
   /// valuable under range churn. 0 disables.
   std::size_t hotset_push_max = 0;
-  /// After this many consecutive degraded lookup rounds (rounds that hit
-  /// the timeout with answers missing), the P2P rung backs off: lookups are
-  /// suppressed for an exponentially growing window, so a partitioned or
-  /// loss-swamped device converges to standalone latency instead of paying
-  /// the timeout on every frame. Any completed (non-degraded) round resets
-  /// the backoff. 0 disables.
-  std::uint32_t backoff_after = 3;
-  SimDuration backoff_base = 2 * kSecond;  ///< first suppression window
-  SimDuration backoff_max = 30 * kSecond;  ///< window growth cap
 };
 
 /// P2P collaboration endpoint for one device.
 class PeerCacheService {
  public:
-  using LookupCallback = std::function<void(std::vector<WireEntry>)>;
-
   /// Registers a node on `medium` in `cell`; `cache` must outlive this.
   PeerCacheService(EventSimulator& sim, WirelessMedium& medium,
                    ApproxCache& cache, const PeerCacheParams& params,
@@ -75,58 +52,35 @@ class PeerCacheService {
   void start();
 
   /// Simulates a crash of this endpoint: stops beaconing and adverts, wipes
-  /// the neighbour table, fails every pending lookup (callbacks fire with
-  /// no entries, in request order) and ignores incoming traffic until the
-  /// next start(). The local cache is NOT touched — the owner decides
-  /// whether the crash wiped it.
+  /// the neighbour table and ignores incoming traffic until the next
+  /// start(). The local cache is NOT touched — the owner decides whether
+  /// the crash wiped it.
   void stop();
 
   bool running() const noexcept { return running_; }
-
-  /// Broadcasts a lookup for `query`; `cb` fires exactly once, with every
-  /// entry collected by completion (possibly none). With no live
-  /// neighbours, `cb` fires via the event loop immediately.
-  void async_lookup(const FeatureVec& query, LookupCallback cb);
-
-  /// Backoff gate for the pipeline's P2P rung: false while lookups are
-  /// suppressed after `backoff_after` consecutive degraded rounds (counts
-  /// the skip). True (and cheap) when backoff is disabled or healthy.
-  bool should_attempt(SimTime now);
 
   NodeId id() const noexcept { return self_; }
   DiscoveryService& discovery() noexcept { return discovery_; }
   const PeerCacheParams& params() const noexcept { return params_; }
 
-  /// Counters: "lookup_sent", "response_sent", "response_recv", "merged",
-  /// "merge_dup", "merge_hops", "advert_sent", "advert_entries",
-  /// "bad_message", "degraded", "backoff_skip".
+  /// Counters: "merged", "merge_dup", "merge_hops", "advert_sent",
+  /// "advert_entries", "hotset_push", "hotset_entries", "bad_message".
   const Counter& counters() const noexcept { return counters_; }
 
-  /// Registers the "p2p/round_us" lookup round-trip histogram and the
-  /// "p2p/degraded_round_us" histogram of rounds that hit the timeout with
-  /// answers missing (plus the counters the runner later copies, as zeros,
-  /// for schema stability). The registry must outlive the service.
+  /// Registers the "p2p/advert_sent", "p2p/merged" and "p2p/merge_dup"
+  /// counters, which the runner later fills from counters(), so every p2p
+  /// deployment exports them (as zeros when nothing was sent or merged).
+  /// The registry must outlive the service.
   void attach_metrics(MetricsRegistry& metrics);
 
  private:
-  void on_message(NodeId from, const std::vector<std::uint8_t>& payload);
+  void on_message(const std::vector<std::uint8_t>& payload);
   void push_hotset(NodeId newcomer);
-  void handle_lookup_request(const LookupRequestMsg& msg);
-  void handle_lookup_response(const LookupResponseMsg& msg);
-  void handle_advert(const EntryAdvertMsg& msg);
   /// Merges one wire entry into the local cache; returns whether it joined.
   bool merge_entry(const WireEntry& entry);
   void advert_tick(std::uint64_t generation);
-  void complete_lookup(std::uint64_t request_id);
-  void note_round_outcome(bool degraded, SimTime now);
-
-  struct PendingLookup {
-    LookupCallback cb;
-    std::vector<WireEntry> collected;
-    std::size_t expected = 0;
-    std::size_t received = 0;
-    SimTime start = 0;  ///< when the request was broadcast
-  };
+  /// Wire form of a cached entry, aged against the current sim time.
+  WireEntry to_wire(const CacheEntry& entry) const;
 
   EventSimulator* sim_;
   WirelessMedium* medium_;
@@ -134,20 +88,11 @@ class PeerCacheService {
   PeerCacheParams params_;
   NodeId self_;
   DiscoveryService discovery_;
-  std::unordered_map<std::uint64_t, PendingLookup> pending_;
-  std::uint64_t next_request_id_ = 1;
   SimTime last_advert_scan_ = 0;
   bool running_ = false;
   /// Bumped by every start(); orphans advert ticks scheduled pre-stop().
   std::uint64_t generation_ = 0;
-  // Backoff state: consecutive degraded rounds and the suppression window.
-  std::uint32_t degraded_streak_ = 0;
-  std::uint32_t backoff_level_ = 0;
-  SimTime suppressed_until_ = 0;
   Counter counters_;
-  MetricsRegistry* metrics_ = nullptr;
-  std::uint32_t round_us_hist_ = 0;
-  std::uint32_t degraded_round_us_hist_ = 0;
 };
 
 }  // namespace apx

@@ -247,7 +247,8 @@ struct ExperimentRunner::Impl {
   }
 
   /// Simulated process crash: the device's cache is wiped, its P2P endpoint
-  /// goes silent (pending lookups fail into the local/DNN fallback) and its
+  /// goes silent (no beacons, no adverts, incoming adverts ignored), its
+  /// edge client fails any pending lookup into the DNN fallback, and its
   /// radio leaves the air. The pipeline itself keeps running — the app
   /// restarts cold, exactly the FoggyCache-style churn regime.
   void crash_device(std::size_t index) {
@@ -268,8 +269,10 @@ struct ExperimentRunner::Impl {
   }
 
   /// Restart after a crash: back on the air (rejoining the shared cell —
-  /// any in-progress churn excursion is forgotten), beaconing resumes, and
-  /// neighbours' first-contact hot-set pushes warm the wiped cache.
+  /// any in-progress churn excursion is forgotten) and beaconing resumes.
+  /// The wiped cache refills from the DNN and from neighbours' periodic
+  /// adverts of fresh entries; with PeerCacheParams::hotset_push_max > 0
+  /// (off by default) their first-contact hot-set pushes warm it at once.
   void restart_device(std::size_t index) {
     Device& device = *devices[index];
     Shard& shard = *shard_of[index];

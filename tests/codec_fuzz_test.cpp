@@ -49,9 +49,16 @@ WireEntry random_entry(Rng& rng, std::size_t dim, bool quantize) {
 void exercise_all_decoders(const std::vector<std::uint8_t>& payload) {
   try { (void)peek_type(payload); } catch (const CodecError&) {}
   try { (void)decode_hello(payload); } catch (const CodecError&) {}
-  try { (void)decode_lookup_request(payload); } catch (const CodecError&) {}
-  try { (void)decode_lookup_response(payload); } catch (const CodecError&) {}
   try { (void)decode_entry_advert(payload); } catch (const CodecError&) {}
+  try {
+    (void)decode_edge_lookup_request(payload);
+  } catch (const CodecError&) {
+  }
+  try {
+    (void)decode_edge_lookup_response(payload);
+  } catch (const CodecError&) {
+  }
+  try { (void)decode_edge_feed(payload); } catch (const CodecError&) {}
 }
 
 class CodecFuzzer : public ::testing::TestWithParam<std::uint64_t> {};
@@ -70,52 +77,48 @@ TEST_P(CodecFuzzer, HelloRoundTrips) {
   }
 }
 
-TEST_P(CodecFuzzer, LookupRequestRoundTrips) {
-  Rng rng{GetParam() ^ 0x11ULL};
-  for (int i = 0; i < 200; ++i) {
-    LookupRequestMsg msg;
-    msg.request_id = rng.next_u64();
-    msg.sender = static_cast<NodeId>(rng.next_u64());
-    msg.k = static_cast<std::uint32_t>(1 + rng.uniform_u64(16));
-    msg.query = random_unit(rng, 1 + rng.uniform_u64(64));
-    const LookupRequestMsg back = decode_lookup_request(encode(msg));
-    EXPECT_EQ(back.request_id, msg.request_id);
-    EXPECT_EQ(back.sender, msg.sender);
-    EXPECT_EQ(back.k, msg.k);
-    EXPECT_EQ(back.query, msg.query);
-  }
-}
-
 TEST_P(CodecFuzzer, ResponseAndAdvertRoundTripsIncludingQuantized) {
   Rng rng{GetParam() ^ 0x22ULL};
   for (int i = 0; i < 100; ++i) {
     const std::size_t dim = 2 + rng.uniform_u64(48);
     const bool quantize = rng.chance(0.5);
-    LookupResponseMsg resp;
+    EdgeLookupResponseMsg resp;
     resp.request_id = rng.next_u64();
     resp.sender = static_cast<NodeId>(rng.next_u64());
+    resp.has_vote = rng.chance(0.5);
+    resp.label = static_cast<Label>(rng.uniform_u64(10000));
+    resp.homogeneity = static_cast<float>(rng.uniform());
+    resp.nearest_distance = static_cast<float>(rng.uniform());
+    resp.voters = static_cast<std::uint32_t>(rng.uniform_u64(16));
     EntryAdvertMsg advert;
     advert.sender = resp.sender;
     const std::size_t n = rng.uniform_u64(8);
     for (std::size_t k = 0; k < n; ++k) {
-      resp.entries.push_back(random_entry(rng, dim, quantize));
       advert.entries.push_back(random_entry(rng, dim, quantize));
     }
-    const LookupResponseMsg r = decode_lookup_response(encode(resp));
+    const EdgeLookupResponseMsg r = decode_edge_lookup_response(encode(resp));
+    EXPECT_EQ(r.request_id, resp.request_id);
+    EXPECT_EQ(r.sender, resp.sender);
+    EXPECT_EQ(r.has_vote, resp.has_vote);
+    EXPECT_EQ(r.label, resp.label);
+    EXPECT_EQ(r.homogeneity, resp.homogeneity);
+    EXPECT_EQ(r.nearest_distance, resp.nearest_distance);
+    EXPECT_EQ(r.voters, resp.voters);
     const EntryAdvertMsg a = decode_entry_advert(encode(advert));
-    ASSERT_EQ(r.entries.size(), n);
+    EXPECT_EQ(a.sender, advert.sender);
     ASSERT_EQ(a.entries.size(), n);
     for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_EQ(r.entries[k].label, resp.entries[k].label);
-      EXPECT_EQ(r.entries[k].hop_count, resp.entries[k].hop_count);
-      EXPECT_EQ(r.entries[k].source_device, resp.entries[k].source_device);
-      EXPECT_EQ(r.entries[k].age, resp.entries[k].age);
-      ASSERT_EQ(r.entries[k].feature.size(), dim);
+      EXPECT_EQ(a.entries[k].label, advert.entries[k].label);
+      EXPECT_EQ(a.entries[k].hop_count, advert.entries[k].hop_count);
+      EXPECT_EQ(a.entries[k].source_device, advert.entries[k].source_device);
+      EXPECT_EQ(a.entries[k].age, advert.entries[k].age);
+      ASSERT_EQ(a.entries[k].feature.size(), dim);
       for (std::size_t j = 0; j < dim; ++j) {
         // Quantized features round-trip within 8-bit affine error on unit
         // vectors; float features round-trip exactly.
         const float tol = quantize ? 0.02f : 0.0f;
-        EXPECT_NEAR(r.entries[k].feature[j], resp.entries[k].feature[j], tol);
+        EXPECT_NEAR(a.entries[k].feature[j], advert.entries[k].feature[j],
+                    tol);
       }
     }
   }
@@ -128,16 +131,18 @@ std::vector<std::vector<std::uint8_t>> corpus(Rng& rng) {
   HelloMsg hello;
   hello.sender = static_cast<NodeId>(rng.next_u64());
   out.push_back(encode(hello));
-  LookupRequestMsg req;
+  EdgeLookupRequestMsg req;
   req.request_id = rng.next_u64();
   req.query = random_unit(rng, 16);
   out.push_back(encode(req));
-  LookupResponseMsg resp;
+  EdgeLookupResponseMsg resp;
   resp.request_id = rng.next_u64();
-  for (int i = 0; i < 3; ++i) {
-    resp.entries.push_back(random_entry(rng, 16, rng.chance(0.5)));
-  }
+  resp.has_vote = true;
+  resp.label = static_cast<Label>(rng.uniform_u64(10000));
   out.push_back(encode(resp));
+  EdgeFeedMsg feed;
+  feed.entry = random_entry(rng, 16, rng.chance(0.5));
+  out.push_back(encode(feed));
   EntryAdvertMsg advert;
   for (int i = 0; i < 3; ++i) {
     advert.entries.push_back(random_entry(rng, 16, rng.chance(0.5)));

@@ -29,7 +29,10 @@ struct Harness {
   std::unique_ptr<ReusePipeline> pipeline;
   PipelineConfig config;
 
-  explicit Harness(PipelineConfig cfg, bool with_peer = false)
+  /// `with_peer` adds a co-located remote peer and this device's endpoint;
+  /// both push adverts only when `adverts` is set.
+  explicit Harness(PipelineConfig cfg, bool with_peer = false,
+                   bool adverts = false)
       : scenes([] {
           SceneGenerator::Config sc;
           sc.num_classes = kClasses;
@@ -55,7 +58,7 @@ struct Harness {
       mp.jitter = 0;
       medium = std::make_unique<WirelessMedium>(sim, mp, 5);
       PeerCacheParams pp;
-      pp.advert_enabled = false;
+      pp.advert_enabled = adverts;
       local_service = std::make_unique<PeerCacheService>(sim, *medium, *cache,
                                                          pp, /*cell=*/0);
       ApproxCacheConfig peer_cfg = cfg.cache;
@@ -331,21 +334,28 @@ TEST(Pipeline, TemporalChainBounded) {
 
 // --------------------------------------------------------------- P2P
 
-TEST(Pipeline, PeerEntryEnablesPeerCacheHit) {
+TEST(Pipeline, PeerAdvertBecomesLocalCacheHit) {
   PipelineConfig cfg = approx_base();
   cfg.enable_p2p = true;
-  Harness h{cfg, /*with_peer=*/true};
-  // The remote peer already recognized this object.
+  Harness h{cfg, /*with_peer=*/true, /*adverts=*/true};
+  Harness solo{cfg};
+  // The co-located peer already recognized objects 6 and 7.
   const Frame f = h.frame(6);
   h.peer_cache->insert(h.extractor->extract(f.image), 6, 0.95f, h.sim.now());
-  const RecognitionResult r = h.run_one(f);
-  EXPECT_EQ(r.source, ResultSource::kPeerCacheHit);
-  EXPECT_TRUE(r.correct);
-  // Latency includes the network round trip but not a DNN run.
-  EXPECT_LT(r.latency, 40 * kMillisecond);
-  // The entry now lives locally: the next lookup hits without the network.
-  const RecognitionResult again = h.run_one(h.frame(6, 0.005f));
+  h.peer_cache->insert(h.extractor->extract(h.frame(7).image), 7, 0.95f,
+                       h.sim.now());
+  // A frame never asks its peers: it goes to the DNN at exactly the
+  // latency of a device without peers, with no network wait.
+  const RecognitionResult first = h.run_one(f);
+  EXPECT_EQ(first.source, ResultSource::kFullInference);
+  EXPECT_EQ(first.latency, solo.run_one(solo.frame(6)).latency);
+  // One advert interval later the peer's entries have merged locally, so
+  // object 7, never seen by this device, is a local-cache hit.
+  h.sim.run_until(h.sim.now() + h.local_service->params().advert_interval);
+  EXPECT_GE(h.local_service->counters().get("merged"), 1u);
+  const RecognitionResult again = h.run_one(h.frame(7, 0.005f));
   EXPECT_EQ(again.source, ResultSource::kLocalCacheHit);
+  EXPECT_TRUE(again.correct);
 }
 
 TEST(Pipeline, EmptyPeerRespondsThenInfers) {
@@ -354,7 +364,7 @@ TEST(Pipeline, EmptyPeerRespondsThenInfers) {
   Harness h{cfg, /*with_peer=*/true};
   const RecognitionResult r = h.run_one(h.frame(6));
   EXPECT_EQ(r.source, ResultSource::kFullInference);
-  // Latency ~= p2p wait + inference.
+  // The peer is never asked: latency is the inference alone.
   EXPECT_GT(r.latency, mobilenet_v2_profile().mean_latency / 2);
 }
 

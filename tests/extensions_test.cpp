@@ -359,8 +359,7 @@ TEST(Churn, DeterministicUnderChurn) {
 // --------------------------------------------------- Quantized protocol
 
 TEST(WireQuantization, EntriesSurviveQuantizedTransport) {
-  LookupResponseMsg msg;
-  msg.request_id = 1;
+  EntryAdvertMsg msg;
   msg.sender = 2;
   Rng rng{13};
   WireEntry e;
@@ -369,7 +368,7 @@ TEST(WireQuantization, EntriesSurviveQuantizedTransport) {
   e.confidence = 0.8f;
   e.quantize_on_wire = true;
   msg.entries.push_back(e);
-  const auto decoded = decode_lookup_response(encode(msg));
+  const auto decoded = decode_entry_advert(encode(msg));
   ASSERT_EQ(decoded.entries.size(), 1u);
   EXPECT_EQ(decoded.entries[0].label, 9);
   EXPECT_LT(l2(decoded.entries[0].feature, e.feature), 0.05f);

@@ -214,9 +214,8 @@ struct ChaosRun {
   ExperimentMetrics metrics;
   std::string json;
   std::uint64_t crash = 0, restart = 0, burst_drop = 0, partition_drop = 0,
-                corrupted = 0, degraded = 0, backoff_skip = 0, bad_message = 0;
+                corrupted = 0, bad_message = 0;
   std::uint64_t edge_degraded = 0, edge_backoff_skip = 0;
-  double p2p_rung_max_us = 0.0;
   double edge_round_max_us = 0.0;
 };
 
@@ -239,14 +238,9 @@ ChaosRun run_chaos(const ScenarioConfig& cfg) {
   out.burst_drop = reg.counter_value("faults/burst_drop");
   out.partition_drop = reg.counter_value("faults/partition_drop");
   out.corrupted = reg.counter_value("faults/corrupted");
-  out.degraded = reg.counter_value("p2p/degraded");
-  out.backoff_skip = reg.counter_value("p2p/backoff_skip");
   out.bad_message = reg.counter_value("p2p/bad_message");
   out.edge_degraded = reg.counter_value("edge/degraded");
   out.edge_backoff_skip = reg.counter_value("edge/backoff_skip");
-  if (const auto* h = reg.find_histogram("pipeline/rung_us/p2p")) {
-    out.p2p_rung_max_us = h->max;
-  }
   if (const auto* h = reg.find_histogram("edge/round_us")) {
     out.edge_round_max_us = h->max;
   }
@@ -264,8 +258,8 @@ TEST(ChaosSoak, BurstLossKeepsAccuracyWithinTwoPoints) {
 }
 
 TEST(ChaosSoak, FullPartitionConvergesToStandaloneLatency) {
-  // The whole run is partitioned: the P2P rung must never stall the ladder,
-  // so the fleet behaves like the same pipeline with P2P disabled.
+  // The whole run is partitioned: no advert ever arrives, so the fleet
+  // behaves like the same pipeline with P2P disabled.
   const ChaosRun cut = run_chaos(chaos_scenario("partition:full:0:15"));
   ScenarioConfig standalone = chaos_scenario("");
   standalone.pipeline.enable_p2p = false;
@@ -275,38 +269,37 @@ TEST(ChaosSoak, FullPartitionConvergesToStandaloneLatency) {
   EXPECT_LT(std::abs(cut.metrics.mean_latency_ms() -
                      solo.metrics.mean_latency_ms()),
             3.0);
-  // Whatever the P2P rung did cost stayed bounded by the lookup timeout.
-  const ScenarioConfig probe = chaos_scenario("");
-  EXPECT_LE(cut.p2p_rung_max_us,
-            static_cast<double>(probe.peer.lookup_timeout) + 2000.0);
-}
-
-TEST(ChaosSoak, MidRunPartitionDegradesThenBacksOff) {
-  // Neighbours are learned in the first 5 s; when the cell shatters, rounds
-  // start timing out (degraded) and after the configured streak the rung
-  // backs off instead of paying the timeout every frame.
-  const ChaosRun run = run_chaos(chaos_scenario("partition:full:5:10"));
-  EXPECT_GT(run.degraded, 0u);
-  EXPECT_GT(run.backoff_skip, 0u);
-  EXPECT_LE(run.p2p_rung_max_us,
-            static_cast<double>(chaos_scenario("").peer.lookup_timeout) +
-                2000.0);
 }
 
 TEST(ChaosSoak, CrashRestartCyclesSurviveAndRecover) {
   // Moderate churn: each device crashes about once in the window. Heavier
   // schedules turn the run into a cold-start benchmark (every wipe pays a
   // cache-refill accuracy cost), which is measured by EXPERIMENTS.md F6,
-  // not asserted here.
-  const ChaosRun clean = run_chaos(chaos_scenario(""));
-  const ChaosRun churn = run_chaos(chaos_scenario("crash:10:3"));
-  EXPECT_GT(churn.crash, 0u);
-  EXPECT_EQ(churn.crash, churn.restart);  // every crash came back
-  EXPECT_NEAR(churn.metrics.accuracy(), clean.metrics.accuracy(), 0.02);
-  // Same sensing schedule: every captured frame is either processed or a
-  // counted busy-drop, never silently lost to a crash window.
-  EXPECT_EQ(churn.metrics.frames() + churn.metrics.dropped(),
-            clean.metrics.frames() + clean.metrics.dropped());
+  // not asserted here. Accuracy is pooled over seeds 1-10: one 15 s seed is
+  // one trajectory, where a single mislabelled object that reuse keeps
+  // serving moves accuracy by several points either way.
+  ExperimentMetrics clean_pool, churn_pool;
+  std::uint64_t crashes = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    ScenarioConfig clean_cfg = chaos_scenario("");
+    clean_cfg.seed = seed;
+    ScenarioConfig churn_cfg = chaos_scenario("crash:10:3");
+    churn_cfg.seed = seed;
+    const ChaosRun clean = run_chaos(clean_cfg);
+    const ChaosRun churn = run_chaos(churn_cfg);
+    crashes += churn.crash;
+    // Every crash came back.
+    EXPECT_EQ(churn.crash, churn.restart) << "seed " << seed;
+    // Same sensing schedule: every captured frame is either processed or a
+    // counted busy-drop, never silently lost to a crash window.
+    EXPECT_EQ(churn.metrics.frames() + churn.metrics.dropped(),
+              clean.metrics.frames() + clean.metrics.dropped())
+        << "seed " << seed;
+    clean_pool.merge(clean.metrics);
+    churn_pool.merge(churn.metrics);
+  }
+  EXPECT_GT(crashes, 0u);
+  EXPECT_NEAR(churn_pool.accuracy(), clean_pool.accuracy(), 0.02);
 }
 
 TEST(ChaosSoak, RestartedPeersRejoinAndResyncViaHotsetPush) {
@@ -417,6 +410,20 @@ TEST(EdgeChaos, CrashWipesShardsAndRestartRewarms) {
     crashed.merge(run_scenario(cfg));
   }
   EXPECT_NEAR(crashed.accuracy(), clean.accuracy(), 0.02);
+}
+
+TEST(EdgeChaos, CorruptedSenderIdsAreDroppedNotFatal) {
+  // The edge service unicasts each reply to the request's decoded sender
+  // id. Corruption can turn that id into one no node has; the medium must
+  // drop such a reply as out of range instead of aborting the run.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    ScenarioConfig cfg = edge_chaos_scenario("corrupt:0.05");
+    cfg.seed = seed;
+    ChaosRun run;
+    ASSERT_NO_THROW(run = run_chaos(cfg)) << "seed " << seed;
+    EXPECT_GT(run.corrupted, 0u) << "seed " << seed;
+    EXPECT_GT(run.metrics.frames(), 0u) << "seed " << seed;
+  }
 }
 
 TEST(EdgeChaos, EverythingAtOnceSameSeedIsByteIdentical) {

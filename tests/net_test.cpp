@@ -182,6 +182,23 @@ TEST(Medium, UnicastOutOfCellDropped) {
   EXPECT_EQ(medium.counters().get("dropped_range"), 1u);
 }
 
+TEST(Medium, UnicastToUnknownNodeDropped) {
+  // A reply addressed to a corrupted sender id names no node: it is out of
+  // range of everyone, not a crash.
+  EventSimulator sim;
+  WirelessMedium medium{sim, lossless(), 1};
+  Inbox a, b;
+  const NodeId na = medium.add_node(a.fn());
+  medium.add_node(b.fn());
+  medium.unicast(na, 7, {1});
+  medium.unicast(na, 0xFFFFFFFFu, {2});
+  sim.run_all();
+  EXPECT_TRUE(a.messages.empty());
+  EXPECT_TRUE(b.messages.empty());
+  EXPECT_EQ(medium.counters().get("tx"), 2u);
+  EXPECT_EQ(medium.counters().get("dropped_range"), 2u);
+}
+
 TEST(Medium, SetCellMovesNode) {
   EventSimulator sim;
   WirelessMedium medium{sim, lossless(), 1};
@@ -263,22 +280,8 @@ TEST(Messages, HelloRoundTrip) {
   EXPECT_EQ(decoded.cache_size, 123u);
 }
 
-TEST(Messages, LookupRequestRoundTrip) {
-  LookupRequestMsg msg;
-  msg.request_id = 99;
-  msg.sender = 3;
-  msg.k = 5;
-  msg.query = {0.5f, -1.0f, 2.0f};
-  const auto decoded = decode_lookup_request(encode(msg));
-  EXPECT_EQ(decoded.request_id, 99u);
-  EXPECT_EQ(decoded.sender, 3u);
-  EXPECT_EQ(decoded.k, 5u);
-  EXPECT_EQ(decoded.query, msg.query);
-}
-
-TEST(Messages, LookupResponseRoundTrip) {
-  LookupResponseMsg msg;
-  msg.request_id = 1;
+TEST(Messages, AdvertEntryFieldsRoundTrip) {
+  EntryAdvertMsg msg;
   msg.sender = 2;
   WireEntry e;
   e.feature = {1.0f, 2.0f};
@@ -288,7 +291,8 @@ TEST(Messages, LookupResponseRoundTrip) {
   e.source_device = 9;
   e.age = 1234567;
   msg.entries.push_back(e);
-  const auto decoded = decode_lookup_response(encode(msg));
+  const auto decoded = decode_entry_advert(encode(msg));
+  EXPECT_EQ(decoded.sender, 2u);
   ASSERT_EQ(decoded.entries.size(), 1u);
   EXPECT_EQ(decoded.entries[0].feature, e.feature);
   EXPECT_EQ(decoded.entries[0].label, 42);
@@ -315,9 +319,9 @@ TEST(Messages, AdvertRoundTripMultipleEntries) {
 
 TEST(Messages, PeekTypeIdentifies) {
   EXPECT_EQ(peek_type(encode(HelloMsg{})), MsgType::kHello);
-  EXPECT_EQ(peek_type(encode(LookupRequestMsg{})), MsgType::kLookupRequest);
-  EXPECT_EQ(peek_type(encode(LookupResponseMsg{})), MsgType::kLookupResponse);
   EXPECT_EQ(peek_type(encode(EntryAdvertMsg{})), MsgType::kEntryAdvert);
+  EXPECT_EQ(peek_type(encode(EdgeLookupRequestMsg{})),
+            MsgType::kEdgeLookupRequest);
 }
 
 TEST(Messages, PeekEmptyThrows) {
@@ -329,9 +333,11 @@ TEST(Messages, WrongTypeThrows) {
 }
 
 TEST(Messages, TruncatedPayloadThrows) {
-  auto bytes = encode(LookupRequestMsg{});
+  EdgeLookupRequestMsg msg;
+  msg.query = {0.5f, -1.0f, 2.0f};
+  auto bytes = encode(msg);
   bytes.resize(bytes.size() / 2);
-  EXPECT_THROW(decode_lookup_request(bytes), CodecError);
+  EXPECT_THROW(decode_edge_lookup_request(bytes), CodecError);
 }
 
 // ------------------------------------------------------------- Discovery

@@ -45,16 +45,14 @@ TEST_P(CodecFuzz, RandomBytesNeverCrashDecoders) {
     // Every decoder must either produce a value or throw CodecError —
     // never crash, never loop, never read out of bounds (ASAN would bark).
     try { (void)decode_hello(bytes); } catch (const CodecError&) {}
-    try { (void)decode_lookup_request(bytes); } catch (const CodecError&) {}
-    try { (void)decode_lookup_response(bytes); } catch (const CodecError&) {}
     try { (void)decode_entry_advert(bytes); } catch (const CodecError&) {}
+    try { (void)decode_edge_feed(bytes); } catch (const CodecError&) {}
   }
 }
 
 TEST_P(CodecFuzz, TruncationsOfValidMessagesThrowOrParse) {
   Rng rng{GetParam() ^ 0xabcdULL};
-  LookupResponseMsg msg;
-  msg.request_id = rng.next_u64();
+  EntryAdvertMsg msg;
   msg.sender = static_cast<NodeId>(rng.next_u64());
   for (int i = 0; i < 3; ++i) {
     WireEntry e;
@@ -67,11 +65,11 @@ TEST_P(CodecFuzz, TruncationsOfValidMessagesThrowOrParse) {
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     std::vector<std::uint8_t> truncated(full.begin(),
                                         full.begin() + static_cast<long>(cut));
-    EXPECT_THROW((void)decode_lookup_response(truncated), CodecError)
+    EXPECT_THROW((void)decode_entry_advert(truncated), CodecError)
         << "cut=" << cut;
   }
   // The untruncated message parses.
-  EXPECT_EQ(decode_lookup_response(full).entries.size(), 3u);
+  EXPECT_EQ(decode_entry_advert(full).entries.size(), 3u);
 }
 
 TEST_P(CodecFuzz, MessageRoundTripExact) {
