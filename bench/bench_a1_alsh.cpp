@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
                       probe(index, gt, queries)});
     }
 
-    char size_label[16];
+    char size_label[24];  // "%zuk" of a 20-digit size_t, plus the NUL
     if (size % 1'000'000 == 0) {
       std::snprintf(size_label, sizeof(size_label), "%zuM",
                     size / 1'000'000);

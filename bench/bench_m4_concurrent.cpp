@@ -10,7 +10,11 @@
 //   3. read-only scaling: 1/8/16/32 threads, each with its own
 //      CacheQueryScratch, folding periodically;
 //   4. mixed 95/5 lookup/insert at 8 and 32 threads — writers take the
-//      exclusive lock and stall readers, which is what p99 pays for.
+//      exclusive lock and stall readers, which is what p99 pays for;
+//   5. inserts into a full cache, per eviction policy (LRU, utility): the
+//      size of one edge shard, every insert evicting, a voter-touching
+//      lookup before each, against the same inserts into a cache with
+//      headroom.
 //
 // Emits BENCH_concurrent.json (path = first non-flag arg, default
 // ./BENCH_concurrent.json) on the shared BenchJson schema. Metrics are
@@ -25,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,6 +179,38 @@ PhaseResult run_phase(ApproxCache& cache, const Clusters& clusters,
   return r;
 }
 
+/// Capacity of the at-capacity leg: one edge shard.
+constexpr std::size_t kFullCapacity = 2048;
+
+/// Mean ns per insert over `inserts` inserts into a kFullCapacity-entry
+/// cache preloaded to `preload` entries (kFullCapacity: every insert
+/// evicts), each after a lookup that touches its voters. The lookups are
+/// not timed.
+double insert_ns(const ApproxCacheConfig& base,
+                 std::unique_ptr<EvictionPolicy> policy,
+                 const Clusters& clusters, std::size_t preload,
+                 std::size_t inserts) {
+  ApproxCacheConfig cfg = base;
+  cfg.capacity = kFullCapacity;
+  ApproxCache cache{kDim, cfg, std::move(policy)};
+  Rng rng{7};
+  SimTime now = 0;
+  for (std::size_t i = 0; i < preload; ++i) {
+    cache.insert(clusters.near(rng, rng.uniform_u64(clusters.centers.size())),
+                 static_cast<Label>(i % 512), 0.9f, now++);
+  }
+  double total_ns = 0.0;
+  for (std::size_t i = 0; i < inserts; ++i) {
+    const std::size_t c = rng.uniform_u64(clusters.centers.size());
+    (void)cache.lookup({.features = clusters.near(rng, c), .now = now});
+    FeatureVec v = clusters.near(rng, c);
+    const auto t0 = Clock::now();
+    cache.insert(std::move(v), static_cast<Label>(c % 512), 0.9f, now++);
+    total_ns += ns_since(t0);
+  }
+  return total_ns / static_cast<double>(inserts);
+}
+
 }  // namespace
 }  // namespace apx::bench
 
@@ -307,6 +344,28 @@ int main(int argc, char** argv) {
   std::printf("  32 threads: %9.0f qps   p50 %8.0f ns   p99 %8.0f ns\n",
               mixed32.qps, mixed32.p50_ns, mixed32.p99_ns);
 
+  // --- phase 5: inserts at capacity -------------------------------------
+  // Headroom: preload half, insert up to capacity, so nothing evicts.
+  const std::size_t full_inserts = smoke ? 1'000 : kFullCapacity / 2;
+  const std::size_t full_reps = smoke ? 1 : 8;
+  double headroom_ns = 0.0, full_lru_ns = 0.0, full_utility_ns = 0.0;
+  for (std::size_t rep = 0; rep < full_reps; ++rep) {
+    headroom_ns += insert_ns(cfg, make_lru_policy(), clusters,
+                             kFullCapacity - full_inserts, full_inserts);
+    full_lru_ns += insert_ns(cfg, make_lru_policy(), clusters, kFullCapacity,
+                             full_inserts);
+    full_utility_ns += insert_ns(cfg, make_utility_policy(), clusters,
+                                 kFullCapacity, full_inserts);
+  }
+  headroom_ns /= static_cast<double>(full_reps);
+  full_lru_ns /= static_cast<double>(full_reps);
+  full_utility_ns /= static_cast<double>(full_reps);
+  std::printf("\ninserts into a %zu-entry cache (ns/insert):\n",
+              kFullCapacity);
+  std::printf("  with headroom     %8.0f\n", headroom_ns);
+  std::printf("  full, lru         %8.0f\n", full_lru_ns);
+  std::printf("  full, utility     %8.0f\n", full_utility_ns);
+
   const auto& c = cache.counters();
   const double hits = static_cast<double>(c.get("hit"));
   const double misses = static_cast<double>(c.get("miss"));
@@ -340,6 +399,9 @@ int main(int argc, char** argv) {
   json.extra("mean_candidates", read[0].mean_candidates);
   json.extra("preload_ns_per_insert",
              preload_ns / static_cast<double>(entries));
+  json.extra("headroom_insert_ns", headroom_ns);
+  json.extra("full_insert_ns_lru", full_lru_ns);
+  json.extra("full_insert_ns_utility", full_utility_ns);
   json.extra("smoke", smoke ? 1.0 : 0.0);
   if (!json.write(json_path)) return 1;
   std::printf("wrote %s\n", json_path.c_str());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -10,6 +11,17 @@
 #include "src/obs/metrics.hpp"
 
 namespace apx {
+namespace {
+
+/// Width of evict_one()'s candidate band, relative to the minimum rank
+/// (floored at 1): entries ranked within it of the minimum are scored.
+/// The rank and score formulas each round to a few ulps (~1e-15
+/// relative), so 2^-32 is far above their error; integer ranks below 2^32
+/// (access counts; last-access µs in the first 71 simulated minutes) fall
+/// in the band only when equal.
+constexpr double kRankSlack = 0x1p-32;
+
+}  // namespace
 
 ApproxCache::ApproxCache(std::size_t dim, const ApproxCacheConfig& config,
                          std::unique_ptr<EvictionPolicy> eviction)
@@ -21,7 +33,7 @@ ApproxCache::ApproxCache(std::size_t dim, const ApproxCacheConfig& config,
                              config.index != IndexKind::kExact)),
       eviction_(std::move(eviction)),
       index_(make_index(config.index, dim, config.alsh, config.qalsh)),
-      label_of_([this](VecId id) { return entries_.at(id).label; }) {
+      label_of_([this](VecId id) { return entries_.at(id).entry.label; }) {
   if (dim == 0 || config.capacity == 0 || eviction_ == nullptr) {
     throw std::invalid_argument("ApproxCache: bad configuration");
   }
@@ -114,8 +126,19 @@ void ApproxCache::apply(CacheQueryScratch& scratch, bool cache_effects) {
     for (const CacheQueryScratch::Touch& t : scratch.touches_) {
       auto it = entries_.find(t.id);
       if (it != entries_.end()) {
-        it->second.last_access = t.now;
-        ++it->second.access_count;
+        CacheEntry& entry = it->second.entry;
+        const bool back_in_time = t.now < entry.last_access;
+        entry.last_access = t.now;
+        ++entry.access_count;
+        // A touch only raises a rank, so the stored one stays a lower
+        // bound — unless a fold lands an older `now` and moves the access
+        // back in time. Re-key that entry at once if its rank fell below
+        // the stored one (for utility the extra access usually outweighs
+        // the earlier time).
+        if (back_in_time) {
+          const double rank = rank_of(entry);
+          if (rank < it->second.rank) rekey(t.id, it->second, rank);
+        }
       }
     }
     if (scratch.hits_ > 0) counters_.inc("hit", scratch.hits_);
@@ -192,7 +215,9 @@ VecId ApproxCache::insert(FeatureVec feature, Label label, float confidence,
   entry.hop_count = hop_count;
   entry.source_device = source_device;
   index_->insert(id, entry.feature);
-  entries_.emplace(id, std::move(entry));
+  const double rank = rank_of(entry);
+  by_rank_.emplace(rank, id);
+  entries_.emplace(id, Resident{std::move(entry), rank});
   counters_.inc("insert");
   update_memory_gauges();
   return id;
@@ -203,6 +228,7 @@ bool ApproxCache::remove(VecId id) {
   const auto it = entries_.find(id);
   if (it == entries_.end()) return false;
   index_->remove(id);
+  by_rank_.erase({it->second.rank, id});
   entries_.erase(it);
   update_memory_gauges();
   return true;
@@ -212,6 +238,7 @@ void ApproxCache::clear() {
   std::unique_lock lock(mu_);
   for (const auto& [id, _] : entries_) index_->remove(id);
   entries_.clear();
+  by_rank_.clear();
   counters_.inc("clear");
   update_memory_gauges();
 }
@@ -219,7 +246,7 @@ void ApproxCache::clear() {
 const CacheEntry* ApproxCache::find(VecId id) const {
   std::shared_lock lock(mu_);
   const auto it = entries_.find(id);
-  return it == entries_.end() ? nullptr : &it->second;
+  return it == entries_.end() ? nullptr : &it->second.entry;
 }
 
 std::optional<float> ApproxCache::nearest_distance(
@@ -251,14 +278,14 @@ std::optional<HknnVote> ApproxCache::peek_vote(const CacheQuery& q) {
 void ApproxCache::for_each(
     const std::function<void(const CacheEntry&)>& fn) const {
   std::shared_lock lock(mu_);
-  for (const auto& [_, entry] : entries_) fn(entry);
+  for (const auto& [_, resident] : entries_) fn(resident.entry);
 }
 
 std::vector<CacheEntry> ApproxCache::entries_since(SimTime since) const {
   std::shared_lock lock(mu_);
   std::vector<CacheEntry> out;
-  for (const auto& [_, entry] : entries_) {
-    if (entry.insert_time >= since) out.push_back(entry);
+  for (const auto& [_, resident] : entries_) {
+    if (resident.entry.insert_time >= since) out.push_back(resident.entry);
   }
   std::sort(out.begin(), out.end(),
             [](const CacheEntry& a, const CacheEntry& b) {
@@ -304,19 +331,76 @@ void ApproxCache::update_memory_gauges() {
   counters_.set("bytes_codes", n * (dim_ + 3 * sizeof(float)));
 }
 
+double ApproxCache::rank_of(const CacheEntry& entry) const {
+  const double rank = eviction_->rank(entry);
+  return std::isnan(rank) ? -std::numeric_limits<double>::infinity() : rank;
+}
+
+void ApproxCache::rekey(VecId id, Resident& resident, double rank) {
+  auto node = by_rank_.extract({resident.rank, id});
+  node.value().first = rank;
+  by_rank_.insert(std::move(node));
+  resident.rank = rank;
+}
+
 VecId ApproxCache::evict_one(SimTime now) {
   assert(!entries_.empty());
+  // Refresh the minimum until it is current. Stored ranks are lower
+  // bounds, so then no entry ranks below `floor`.
+  double floor = 0.0;
+  for (;;) {
+    const auto [stored, id] = *by_rank_.begin();
+    Resident& top = entries_.find(id)->second;
+    floor = rank_of(top.entry);
+    if (floor == stored) break;
+    rekey(id, top, floor);
+  }
   VecId victim = 0;
   double worst = std::numeric_limits<double>::max();
-  for (const auto& [id, entry] : entries_) {
+  const auto consider = [&](VecId id, const CacheEntry& entry) {
     const double s = eviction_->score(entry, now);
     if (s < worst || (s == worst && id < victim)) {
       worst = s;
       victim = id;
     }
+  };
+  // Score the band: every entry whose stored rank is within the slack of
+  // the minimum, refreshing stale ones. An entry ranked above the band
+  // scores above the band's minimum at any `now`.
+  std::size_t scored = 0;
+  if (std::isfinite(floor)) {
+    const double limit = floor + kRankSlack * std::max(1.0, std::abs(floor));
+    band_.clear();
+    for (auto it = by_rank_.begin();
+         it != by_rank_.end() && it->first <= limit; ++it) {
+      band_.push_back(it->second);
+    }
+    for (const VecId id : band_) {
+      Resident& resident = entries_.find(id)->second;
+      const double rank = rank_of(resident.entry);
+      if (rank != resident.rank) {
+        rekey(id, resident, rank);
+        if (rank > limit) continue;
+      }
+      consider(id, resident.entry);
+      ++scored;
+    }
+  }
+  // Ranks order scores only while scores are positive normals: a zero or
+  // negative weight, or a decay that underflowed, breaks the link (and a
+  // non-finite minimum rank forms no band). Score every entry then.
+  const bool band_decides =
+      victim != 0 && worst > 0.0 && std::isnormal(worst);
+  if (scored < entries_.size() && !band_decides) {
+    victim = 0;
+    worst = std::numeric_limits<double>::max();
+    for (const auto& [id, resident] : entries_) consider(id, resident.entry);
   }
   index_->remove(victim);
-  entries_.erase(victim);
+  if (const auto it = entries_.find(victim); it != entries_.end()) {
+    by_rank_.erase({it->second.rank, victim});
+    entries_.erase(it);
+  }
   counters_.inc("evict");
   return victim;
 }

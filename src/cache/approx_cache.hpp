@@ -43,8 +43,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <shared_mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/ann/factory.hpp"
@@ -265,7 +267,23 @@ class ApproxCache {
   Counter& counters() noexcept { return counters_; }
 
  private:
+  /// A resident entry beside its stored eviction rank: a lower bound on
+  /// EvictionPolicy::rank(entry), the key it sits under in `by_rank_`.
+  struct Resident {
+    CacheEntry entry;
+    double rank = 0.0;
+  };
+
+  /// Removes the entry the policy scores lowest at `now` (ties: lower id),
+  /// the same victim a scan of every score picks, scoring only the entries
+  /// whose rank is within a rounding slack of the current minimum.
   VecId evict_one(SimTime now);
+  /// The policy's rank of `entry`, with NaN mapped to -inf so the order
+  /// stays strict-weak (such an entry forces a full scoring scan).
+  double rank_of(const CacheEntry& entry) const;
+  /// Moves `id` from its stored rank to `rank` in `by_rank_` (no
+  /// allocation: the set node is reused).
+  void rekey(VecId id, Resident& resident, double rank);
   /// Refreshes the "bytes_float"/"bytes_codes" gauges (quantized scan only).
   void update_memory_gauges();
   /// Simulated device cost of a lookup that computed `candidates` distances
@@ -290,7 +308,13 @@ class ApproxCache {
   bool quantized_scan_ = false;
   std::unique_ptr<EvictionPolicy> eviction_;
   std::unique_ptr<NnIndex> index_;
-  std::unordered_map<VecId, CacheEntry> entries_;
+  std::unordered_map<VecId, Resident> entries_;
+  /// Every resident (stored rank, id), ascending. Stored ranks lag the
+  /// true ones: a touch only raises a rank, so touches do not re-key, and
+  /// evict_one() refreshes what it reads.
+  std::set<std::pair<double, VecId>> by_rank_;
+  /// evict_one()'s candidate ids (guarded by mu_; reused between calls).
+  std::vector<VecId> band_;
   VecId next_id_ = 1;
   Counter counters_;
   /// Constructed once (single this-pointer capture fits std::function's

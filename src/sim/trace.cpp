@@ -55,7 +55,7 @@ std::vector<TraceEvent> TraceRecorder::parse(
     event.result.true_label = static_cast<Label>(r.i64());
     event.result.correct = r.u8() != 0;
     const std::uint8_t source = r.u8();
-    if (source > static_cast<std::uint8_t>(ResultSource::kWarmCacheHit)) {
+    if (source >= kResultSourceCount) {
       throw CodecError("trace: bad source");
     }
     event.result.source = static_cast<ResultSource>(source);

@@ -9,7 +9,13 @@
 #include <random>
 #include <vector>
 
+#include "src/core/pipeline.hpp"
+#include "src/dnn/oracle.hpp"
+#include "src/dnn/zoo.hpp"
 #include "src/edge/edge_cache.hpp"
+#include "src/edge/edge_client.hpp"
+#include "src/features/extractor.hpp"
+#include "src/image/scene.hpp"
 #include "src/sim/runner.hpp"
 
 namespace apx {
@@ -75,7 +81,9 @@ TEST(EdgeShards, FeedLandsInTheRoutedShard) {
   const std::size_t routed = svc.shard_of(v);
   EXPECT_EQ(svc.shard(routed).size(), 1u);
   for (std::size_t s = 0; s < svc.shard_count(); ++s) {
-    if (s != routed) EXPECT_EQ(svc.shard(s).size(), 0u);
+    if (s != routed) {
+      EXPECT_EQ(svc.shard(s).size(), 0u);
+    }
   }
   // And the query for the same key answers from that shard.
   const CacheResult res = svc.query(v, /*now=*/1);
@@ -288,6 +296,62 @@ TEST(EdgeCapacity, EvictionIsPerShard) {
   }
   EXPECT_EQ(sharded.size(), total);
   EXPECT_GT(total, p.capacity);  // the split actually spread the keys
+}
+
+// ---------------------------------------------------------------- pipeline
+
+TEST(EdgePipeline, EdgeHitRefreshesTheTemporalKeyframe) {
+  // An edge answer came from looking at the image, so it is a keyframe:
+  // the same frame again is temporal reuse, not a second edge round.
+  SceneGenerator::Config sc;
+  sc.num_classes = 4;
+  sc.image_size = 24;
+  sc.seed = 7;
+  const SceneGenerator scenes{sc};
+  const auto extractor = make_downsample_extractor(8);
+  ModelProfile profile = mobilenet_v2_profile();
+  profile.top1_accuracy = 1.0;
+  const auto model = make_oracle_model(profile, sc.num_classes);
+
+  EventSimulator sim;
+  WirelessMedium medium{sim, MediumParams{}, /*seed=*/3};
+  PipelineConfig cfg = make_edge_config();
+  cfg.ladder = "temporal,edge,dnn";
+  EdgeParams edge = cfg.edge;
+  edge.shards = 1;
+  edge.error_budget = 1.0f;
+  edge.cache.index = IndexKind::kExact;
+  edge.cache.hknn.max_distance = 0.3f;
+  EdgeCacheService svc{extractor->dim(), edge};
+  svc.attach_network(sim, medium);
+  svc.start();
+  EdgeClient client{sim, medium, svc.id(), svc.params()};
+  client.start();
+  ReusePipeline pipeline{sim,     cfg,     *extractor, *model, nullptr,
+                         nullptr, nullptr, &client,    /*seed=*/11};
+
+  Frame frame;
+  frame.true_label = 2;
+  frame.image = scenes.render(2, ViewParams{});
+  ASSERT_TRUE(svc.feed(extractor->extract(frame.image), 2, 0.9f, 0));
+  const auto run_one = [&] {
+    std::optional<RecognitionResult> out;
+    frame.t = sim.now();
+    EXPECT_TRUE(pipeline.process(frame, MotionState::kMinor,
+                                 [&](const RecognitionResult& r) { out = r; }));
+    while (!out.has_value() && sim.step()) {
+    }
+    EXPECT_TRUE(out.has_value());
+    return out.value_or(RecognitionResult{});
+  };
+  const RecognitionResult first = run_one();
+  EXPECT_EQ(first.source, ResultSource::kEdgeCacheHit);
+  EXPECT_EQ(first.label, 2);
+  const RecognitionResult repeat = run_one();
+  EXPECT_EQ(repeat.source, ResultSource::kTemporalReuse);
+  EXPECT_EQ(repeat.label, 2);
+  client.stop();
+  svc.stop();
 }
 
 // ------------------------------------------------------------- determinism

@@ -456,7 +456,9 @@ TEST_P(LshProperty, ResultsAlwaysValid) {
       // can never beat the exact top-1.
       for (std::size_t i = 0; i < approx.size(); ++i) {
         EXPECT_TRUE(stored.count(approx[i].id));
-        if (i > 0) EXPECT_GE(approx[i].distance, approx[i - 1].distance);
+        if (i > 0) {
+          EXPECT_GE(approx[i].distance, approx[i - 1].distance);
+        }
       }
       if (!approx.empty() && !truth.empty()) {
         EXPECT_GE(approx[0].distance, truth[0].distance - 1e-6f);
@@ -538,6 +540,29 @@ TEST(Trace, DisabledByDefault) {
   ExperimentRunner runner{cfg};
   runner.run();
   EXPECT_EQ(runner.trace().size(), 0u);
+}
+
+TEST(Trace, RoundTripsEverySource) {
+  TraceRecorder recorder;
+  for (std::size_t s = 0; s < kResultSourceCount; ++s) {
+    RecognitionResult result;
+    result.frame_time = static_cast<SimTime>(s) * kSecond;
+    result.completion_time = result.frame_time + 1000;
+    result.source = static_cast<ResultSource>(s);
+    recorder.record(static_cast<std::uint32_t>(s), result);
+  }
+  const auto events = TraceRecorder::parse(recorder.serialize());
+  ASSERT_EQ(events.size(), kResultSourceCount);
+  for (std::size_t s = 0; s < kResultSourceCount; ++s) {
+    EXPECT_EQ(events[s].result.source, static_cast<ResultSource>(s));
+    EXPECT_EQ(events[s].device, s);
+  }
+  // One past the last source is still malformed.
+  RecognitionResult bad;
+  bad.source = static_cast<ResultSource>(kResultSourceCount);
+  TraceRecorder bad_recorder;
+  bad_recorder.record(0, bad);
+  EXPECT_THROW(TraceRecorder::parse(bad_recorder.serialize()), CodecError);
 }
 
 TEST(Trace, CorruptBytesThrow) {

@@ -55,12 +55,23 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+// Not inlined: gcc would otherwise see the free() at a call site next to
+// the operator new it pairs with and report -Wmismatched-new-delete, though
+// both replacements go through malloc/free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -160,7 +171,9 @@ TEST(QalshQuery, ReturnsExactSortedDistances) {
     EXPECT_NEAR(result[i].distance,
                 exact_l2(q, stored[static_cast<std::size_t>(result[i].id)]),
                 1e-4f);
-    if (i > 0) EXPECT_GE(result[i].distance, result[i - 1].distance);
+    if (i > 0) {
+      EXPECT_GE(result[i].distance, result[i - 1].distance);
+    }
   }
 }
 

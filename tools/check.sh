@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 flow plus sanitizer sweeps.
 #
-#   tools/check.sh            # tier-1: default build + full ctest
+#   tools/check.sh            # tier-1: default build (-Werror) + full ctest
 #                             # + perfbench build and smoke run
 #                             # + release apxsim ladder-matrix smoke check
 #                             #   (every preset + the warm-tier ladder,
@@ -15,7 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake --preset default
+# The tier-1 build is warning-free; keep it so.
+cmake --preset default -DAPX_WERROR=ON
 cmake --build --preset default -j
 ctest --preset default -j
 
@@ -150,6 +151,11 @@ assert set(smoke["metrics"]) == set(committed["metrics"]), (
     set(smoke["metrics"]) ^ set(committed["metrics"]))
 assert set(smoke["extras"]) == set(committed["extras"]), (
     set(smoke["extras"]) ^ set(committed["extras"]))
+# The at-capacity leg: ns per insert into a full cache, per policy.
+for doc, name in ((smoke, "smoke"), (committed, "committed")):
+    for key in ("headroom_insert_ns", "full_insert_ns_lru",
+                "full_insert_ns_utility"):
+        assert doc["extras"].get(key, 0) > 0, f"{name}: no {key}"
 print(f"bench_m4 schema ok: {len(smoke['metrics'])} metrics, "
       f"{len(smoke['extras'])} extras")
 PY
@@ -209,6 +215,9 @@ if [[ "${1:-}" == "sanitize" ]]; then
   # the EdgeConcurrent query/feed/sweep hammer on one EdgeCacheService and
   # the QALSH reader/writer suites over its sorted lines + pending tails).
   ./build-tsan/tests/concurrent_test
+  # The eviction differential suite: the lazily refreshed rank order that
+  # folds, inserts, removals and sweeps maintain under the write lock.
+  ./build-tsan/tests/eviction_test
   ./build-tsan/tests/property_test \
     --gtest_filter='*ConcurrentBatchedReaders*'
   # The edge tier suite: sharded service + admission + TTL sweeps.
