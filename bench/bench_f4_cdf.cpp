@@ -20,7 +20,8 @@ int main() {
   {
     std::vector<std::string> header{"configuration"};
     for (const double p : percentiles) {
-      header.push_back("p" + std::to_string(static_cast<int>(p * 100)));
+      header.push_back(
+          std::string("p").append(std::to_string(static_cast<int>(p * 100))));
     }
     table.header(std::move(header));
   }

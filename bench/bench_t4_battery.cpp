@@ -42,8 +42,9 @@ int main() {
     table.row({name, TextTable::num(per_frame, 1),
                TextTable::num(per_frame * fps / 1000.0, 2),
                TextTable::num(hours, 2),
-               (delta_pct >= 0.0 ? "+" : "") + TextTable::num(delta_pct, 1) +
-                   "%"});
+               std::string(delta_pct >= 0.0 ? "+" : "")
+                   .append(TextTable::num(delta_pct, 1))
+                   .append("%")});
   }
   std::printf("%s", table.render().c_str());
   return 0;

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   devices.header({"visitor", "frames", "mean ms", "reuse"});
   int id = 0;
   for (const auto& m : collaborative.device_metrics()) {
-    devices.row({"#" + std::to_string(id++),
+    devices.row({std::string("#").append(std::to_string(id++)),
                  std::to_string(m.frames()),
                  apx::TextTable::num(m.mean_latency_ms()),
                  apx::TextTable::num(m.reuse_ratio(), 3)});

@@ -33,12 +33,9 @@ void ExactKnnIndex::query_batch_into(std::span<const float> queries,
       out.push_back({id, l2(q, v)});
     }
     const std::size_t take = std::min(k, out.size());
-    std::partial_sort(
-        out.begin(), out.begin() + static_cast<std::ptrdiff_t>(take),
-        out.end(), [](const Neighbor& a, const Neighbor& b) {
-          return a.distance < b.distance ||
-                 (a.distance == b.distance && a.id < b.id);
-        });
+    std::partial_sort(out.begin(),
+                      out.begin() + static_cast<std::ptrdiff_t>(take),
+                      out.end(), closer);
     out.resize(take);
     if (stats != nullptr) {
       stats[i] = QueryStats{};

@@ -5,7 +5,10 @@
 // QalshIndex (query-aware LSH).
 // New backends register in make_index() (src/ann/factory.hpp).
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -24,6 +27,45 @@ struct Neighbor {
   VecId id = 0;
   float distance = 0.0f;
 };
+
+/// The order of query results: closer first, lower id on equal distances.
+inline bool closer(const Neighbor& a, const Neighbor& b) noexcept {
+  return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
+}
+
+/// Fills `out` with the k nearest of n scored rows, closest first by
+/// closer(): exactly what a partial_sort of all n {id_of(i),
+/// sqrt(l2_sq[i])} would keep, without building that n-entry array. A
+/// k-sized max-heap runs over the squared distances; once it is full, a
+/// row whose squared distance exceeds the square of the successor of the
+/// k-th distance is skipped before its sqrt and id are computed (its sqrt
+/// rounds above that distance).
+template <class IdOf>
+void select_nearest(std::span<const float> l2_sq, std::size_t k,
+                    const IdOf& id_of, std::vector<Neighbor>& out) {
+  out.clear();
+  if (k == 0) return;
+  double cut = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < l2_sq.size(); ++i) {
+    if (static_cast<double>(l2_sq[i]) > cut) continue;
+    const Neighbor cand{id_of(i), std::sqrt(l2_sq[i])};
+    if (out.size() == k) {
+      if (!closer(cand, out.front())) continue;
+      std::pop_heap(out.begin(), out.end(), closer);
+      out.back() = cand;
+    } else {
+      out.push_back(cand);
+    }
+    std::push_heap(out.begin(), out.end(), closer);
+    if (out.size() == k && std::isfinite(out.front().distance)) {
+      // Exact in double: a float's square needs at most 48 mantissa bits.
+      const double next = std::nextafter(
+          out.front().distance, std::numeric_limits<float>::infinity());
+      cut = next * next;
+    }
+  }
+  std::sort_heap(out.begin(), out.end(), closer);
+}
 
 /// Opaque per-caller working set for NnIndex::query_batch_into(). Backends
 /// that keep reusable query buffers (the LSH family, QALSH) return their own

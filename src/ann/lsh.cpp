@@ -245,19 +245,9 @@ void PStableLshIndex::gather_score(QueryScratch& sc, std::span<const float> q,
   }
   l2_sq_gather(q, arena_.data(), sc.candidates, sc.distances.data());
 
-  out.reserve(sc.candidates.size());
-  for (std::size_t i = 0; i < sc.candidates.size(); ++i) {
-    out.push_back(
-        {slot_ids_[sc.candidates[i]], std::sqrt(sc.distances[i])});
-  }
-  const std::size_t take = std::min(k, out.size());
-  std::partial_sort(out.begin(),
-                    out.begin() + static_cast<std::ptrdiff_t>(take),
-                    out.end(), [](const Neighbor& a, const Neighbor& b) {
-                      return a.distance < b.distance ||
-                             (a.distance == b.distance && a.id < b.id);
-                    });
-  out.resize(take);
+  select_nearest({sc.distances.data(), sc.candidates.size()}, k,
+                 [&](std::size_t i) { return slot_ids_[sc.candidates[i]]; },
+                 out);
 }
 
 void PStableLshIndex::query_batch_into(std::span<const float> queries,
@@ -360,18 +350,9 @@ void PStableLshIndex::score_quantized(QueryScratch& sc,
   if (sc.exact.size() < rerank) sc.exact.resize(rerank);
   l2_sq_gather(q, arena_.data(), {sc.survivors.data(), rerank},
                sc.exact.data());
-  out.reserve(rerank);
-  for (std::size_t i = 0; i < rerank; ++i) {
-    out.push_back({slot_ids_[sc.survivors[i]], std::sqrt(sc.exact[i])});
-  }
-  const std::size_t take = std::min(k, out.size());
-  std::partial_sort(out.begin(),
-                    out.begin() + static_cast<std::ptrdiff_t>(take),
-                    out.end(), [](const Neighbor& a, const Neighbor& b) {
-                      return a.distance < b.distance ||
-                             (a.distance == b.distance && a.id < b.id);
-                    });
-  out.resize(take);
+  select_nearest({sc.exact.data(), rerank}, k,
+                 [&](std::size_t i) { return slot_ids_[sc.survivors[i]]; },
+                 out);
 }
 
 FeatureVec PStableLshIndex::reconstructed(VecId id) const {

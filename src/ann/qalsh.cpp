@@ -388,21 +388,10 @@ void QalshIndex::finalize(QueryScratch& sc, std::span<const float> q,
   st.candidates = n;
   st.rerank_survivors = 0;
   if (n == 0 || k == 0) return;
-  const auto by_distance_then_id = [](const Neighbor& a, const Neighbor& b) {
-    return a.distance < b.distance ||
-           (a.distance == b.distance && a.id < b.id);
-  };
   if (!quantized()) {
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(
-          {slot_ids_[sc.candidates[i]], std::sqrt(sc.distances[i])});
-    }
-    const std::size_t take = std::min(k, out.size());
-    std::partial_sort(out.begin(),
-                      out.begin() + static_cast<std::ptrdiff_t>(take),
-                      out.end(), by_distance_then_id);
-    out.resize(take);
+    select_nearest({sc.distances.data(), n}, k,
+                   [&](std::size_t i) { return slot_ids_[sc.candidates[i]]; },
+                   out);
     return;
   }
   // Quantized path: sc.distances holds ADC scores. Keep the rerank_k best
@@ -429,15 +418,9 @@ void QalshIndex::finalize(QueryScratch& sc, std::span<const float> q,
   if (sc.exact.size() < rerank) sc.exact.resize(rerank);
   l2_sq_gather(q, arena_.data(), {sc.survivors.data(), rerank},
                sc.exact.data());
-  out.reserve(rerank);
-  for (std::size_t i = 0; i < rerank; ++i) {
-    out.push_back({slot_ids_[sc.survivors[i]], std::sqrt(sc.exact[i])});
-  }
-  const std::size_t take = std::min(k, out.size());
-  std::partial_sort(out.begin(),
-                    out.begin() + static_cast<std::ptrdiff_t>(take),
-                    out.end(), by_distance_then_id);
-  out.resize(take);
+  select_nearest({sc.exact.data(), rerank}, k,
+                 [&](std::size_t i) { return slot_ids_[sc.survivors[i]]; },
+                 out);
 }
 
 void QalshIndex::query_one(QueryScratch& sc, const float* proj_q,

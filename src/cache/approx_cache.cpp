@@ -194,6 +194,17 @@ void ApproxCache::fold_scratch(CacheQueryScratch& scratch) {
   apply(scratch, /*cache_effects=*/true);
 }
 
+bool ApproxCache::try_fold_scratch(CacheQueryScratch& scratch) {
+  std::unique_lock lock(mu_, std::defer_lock);
+  if (scratch.lookups_ >= CacheQueryScratch::kFoldWaitAt) {
+    lock.lock();
+  } else if (!lock.try_lock()) {
+    return false;
+  }
+  apply(scratch, /*cache_effects=*/true);
+  return true;
+}
+
 VecId ApproxCache::insert(FeatureVec feature, Label label, float confidence,
                           SimTime now, EntryOrigin origin,
                           std::uint8_t hop_count,

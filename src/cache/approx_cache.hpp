@@ -28,7 +28,8 @@
 //  one at a time; mutates entries, counters, index arenas or controllers,
 //  or the cache-owned scratch:
 //    lookup(), peek_vote(), nearest_distance()   (answer + apply)
-//    fold_scratch()                              (apply)
+//    fold_scratch(), try_fold_scratch()          (apply; the latter skips a
+//                                                 busy lock, see below)
 //    insert(), remove(), clear()
 //    attach_metrics()  (call before any concurrent use; the registry itself
 //      is not thread-safe, so metrics recording stays on exclusive paths)
@@ -108,7 +109,8 @@ struct CacheResult {
 /// buffers, and the side effects a read-only lookup must defer — entry
 /// touches, hit/miss tallies, and each query's QueryStats report. Obtain one
 /// per querying thread from ApproxCache::make_scratch(); hand it back
-/// periodically via ApproxCache::fold_scratch() so eviction recency,
+/// periodically via ApproxCache::fold_scratch() (or try_fold_scratch(),
+/// which skips a busy write lock) so eviction recency,
 /// counters, the "cache/*" and "ann/*" instruments, and index adaptation
 /// catch up with the read traffic. Buffers grow to their high-water mark
 /// and are reused, so steady-state batched lookups perform zero heap
@@ -124,6 +126,11 @@ class CacheQueryScratch {
   static constexpr std::size_t kMaxTouches = 4096;
   /// Deferred per-query reports kept between folds.
   static constexpr std::size_t kMaxSamples = 1024;
+  /// Pending lookups at which ApproxCache::try_fold_scratch() stops
+  /// skipping a busy write lock and waits for it. Far below kMaxSamples,
+  /// and below kMaxTouches / k for any k up to 64, so a scratch folded that
+  /// way never drops an effect.
+  static constexpr std::size_t kFoldWaitAt = 64;
 
   CacheQueryScratch() = default;
 
@@ -191,6 +198,16 @@ class ApproxCache {
   /// "ann/*" instruments and controller, which may rebuild A-LSH tables).
   /// Clears the scratch's pending state; the scratch remains usable.
   void fold_scratch(CacheQueryScratch& scratch);
+
+  /// The non-blocking fold: applies `scratch` as fold_scratch() does if the
+  /// write lock can be taken at once, and otherwise leaves it pending and
+  /// returns false — so concurrent readers are not queued behind a writer
+  /// per lookup. Once the scratch holds CacheQueryScratch::kFoldWaitAt
+  /// pending lookups it waits for the lock instead, which bounds the
+  /// deferred state and keeps every effect. try_lock may fail spuriously:
+  /// a caller that must see its effects landed (say, the only reader in
+  /// flight) has to follow a false return with fold_scratch().
+  bool try_fold_scratch(CacheQueryScratch& scratch);
 
   /// Inserts a new entry, evicting first when full. Returns the new id.
   VecId insert(FeatureVec feature, Label label, float confidence, SimTime now,

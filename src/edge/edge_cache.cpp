@@ -44,9 +44,11 @@ EdgeCacheService::EdgeCacheService(std::size_t dim, const EdgeParams& params)
   ApproxCacheConfig shard_cfg = params_.cache;
   shard_cfg.capacity = params_.capacity;
   shards_.reserve(params_.shards);
+  pools_.reserve(params_.shards);
   for (std::size_t s = 0; s < params_.shards; ++s) {
     shards_.push_back(
         std::make_unique<ApproxCache>(dim_, shard_cfg, make_utility_policy()));
+    pools_.push_back(std::make_unique<ScratchPool>());
   }
 }
 
@@ -66,12 +68,50 @@ std::size_t EdgeCacheService::shard_of(std::span<const float> features) const {
   return h % shards_.size();
 }
 
+std::unique_ptr<CacheQueryScratch> EdgeCacheService::lease_scratch(
+    std::size_t shard) {
+  ScratchPool& pool = *pools_[shard];
+  {
+    std::lock_guard<std::mutex> lock{pool.mu};
+    ++pool.in_flight;
+    if (!pool.idle.empty()) {
+      std::unique_ptr<CacheQueryScratch> scratch = std::move(pool.idle.back());
+      pool.idle.pop_back();
+      return scratch;
+    }
+  }
+  return std::make_unique<CacheQueryScratch>(shards_[shard]->make_scratch());
+}
+
+void EdgeCacheService::settle_scratch(
+    std::size_t shard, std::unique_ptr<CacheQueryScratch> scratch) {
+  ApproxCache& cache = *shards_[shard];
+  ScratchPool& pool = *pools_[shard];
+  cache.try_fold_scratch(*scratch);
+  std::lock_guard<std::mutex> lock{pool.mu};
+  pool.idle.push_back(std::move(scratch));
+  if (--pool.in_flight > 0) return;
+  // The last caller out lands what the others left behind, and its own
+  // effects should its try_lock have failed spuriously. New callers wait on
+  // pool.mu meanwhile; no path takes pool.mu while holding a shard lock.
+  for (const auto& idle : pool.idle) {
+    if (idle->pending_lookups() > 0) cache.fold_scratch(*idle);
+  }
+}
+
 CacheResult EdgeCacheService::query(std::span<const float> features,
                                     SimTime now, float threshold_scale) {
-  ApproxCache& shard = *shards_[shard_of(features)];
-  const CacheResult res = shard.lookup({.features = features,
-                                        .now = now,
-                                        .threshold_scale = threshold_scale});
+  if (features.size() != dim_) {
+    throw std::invalid_argument("edge: query dimension mismatch");
+  }
+  const std::size_t s = shard_of(features);
+  std::unique_ptr<CacheQueryScratch> scratch = lease_scratch(s);
+  CacheResult res;
+  shards_[s]->lookup_batch({.features = features,
+                            .now = now,
+                            .threshold_scale = threshold_scale},
+                           {&res, 1}, *scratch);
+  settle_scratch(s, std::move(scratch));
   std::lock_guard<std::mutex> lock{counters_mu_};
   counters_.inc("lookup");
   if (metrics_ != nullptr) {

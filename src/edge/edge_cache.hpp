@@ -29,9 +29,14 @@
 // Thread-safety: query/feed/sweep/clear/size may be called concurrently
 // from many threads — each shard serializes its own mutations internally
 // (DESIGN.md §9) and the service-level counters/metrics sit behind a
-// mutex. Two caveats: a concurrent feed's admission estimate and insert
-// are not one atomic step (a racing feed may shift the vote in between —
-// harmless, just nondeterministic), and the network surface
+// mutex. A query answers on its shard's shared lock, so queries to one
+// shard run in parallel; it then lands its deferred effects (voter
+// touches, hit/miss tallies, index feedback) only if the write lock is
+// free, leaving them in a pooled scratch otherwise (see query()). Caveats:
+// while several callers are in flight a query may not yet see an earlier
+// query's touches; a concurrent feed's admission estimate and insert are
+// not one atomic step (a racing feed may shift the vote in between —
+// harmless, just nondeterministic); and the network surface
 // (attach_network/start/stop/on_message) belongs to the sim thread only.
 
 #include <cstdint>
@@ -86,6 +91,13 @@ class EdgeCacheService {
   std::size_t shard_of(std::span<const float> features) const;
 
   /// H-kNN vote of the routed shard (latency/candidates in the result).
+  /// Answers through ApproxCache::lookup_batch on a scratch from the
+  /// shard's pool, then try_fold_scratch()es it. Effects that could not land
+  /// wait in the pooled scratch; the last query to leave a shard folds every
+  /// pooled scratch, so a lone caller (the simulation) sees exactly what
+  /// ApproxCache::lookup would have done, and once every caller has
+  /// returned no effect is pending. Throws std::invalid_argument when
+  /// features.size() != dim().
   CacheResult query(std::span<const float> features, SimTime now,
                     float threshold_scale = 1.0f);
 
@@ -153,6 +165,18 @@ class EdgeCacheService {
   void handle_feed(const EdgeFeedMsg& msg);
   void sweep_tick(std::uint64_t generation);
 
+  /// One shard's query scratches: the idle ones and the number on loan.
+  struct ScratchPool {
+    std::mutex mu;
+    std::vector<std::unique_ptr<CacheQueryScratch>> idle;
+    std::size_t in_flight = 0;
+  };
+  std::unique_ptr<CacheQueryScratch> lease_scratch(std::size_t shard);
+  /// Folds `scratch` if the shard's write lock is free and pools it; the
+  /// last caller out folds every pooled scratch still holding effects.
+  void settle_scratch(std::size_t shard,
+                      std::unique_ptr<CacheQueryScratch> scratch);
+
   std::size_t dim_;
   EdgeParams params_;
   /// Routing hyperplanes, row-major (planes x dim); sign bits form the
@@ -160,6 +184,8 @@ class EdgeCacheService {
   std::vector<float> planes_;
   std::size_t plane_count_ = 0;
   std::vector<std::unique_ptr<ApproxCache>> shards_;
+  /// One per shard; declared after shards_ so no scratch outlives its cache.
+  std::vector<std::unique_ptr<ScratchPool>> pools_;
   EventSimulator* sim_ = nullptr;
   WirelessMedium* medium_ = nullptr;
   NodeId self_ = 0;

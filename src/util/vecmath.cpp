@@ -3,17 +3,19 @@
 #include <cassert>
 #include <cmath>
 
-// The SQ8 kernels runtime-dispatch to an AVX2+FMA variant on x86-64: the
-// u8 -> f32 widening the asymmetric-distance pass lives on does not
-// auto-vectorize profitably at the baseline ISA, unlike the pure-float
-// kernels below. Only the new quantized-scan kernels dispatch — the float
-// kernels keep one portable code path so simulation goldens cannot shift
-// with the host CPU.
+// Runtime dispatch on x86-64. The SQ8 kernels pick an AVX2+FMA (or
+// AVX-512) variant: the u8 -> f32 widening the asymmetric-distance pass
+// lives on does not auto-vectorize profitably at the baseline ISA, and
+// their results only select re-rank survivors, so a different summation
+// order is allowed there. A float kernel dispatches only to a bit-exact
+// variant: l2_sq_gather's AVX2 twin runs the portable kernel's own
+// operations per lane, so simulation goldens cannot shift with the host
+// CPU (both sides rely on -ffp-contract=off, see src/CMakeLists.txt).
 #if defined(__x86_64__) && defined(__GNUC__)
-#define APX_SQ8_X86_DISPATCH 1
+#define APX_X86_DISPATCH 1
 #include <immintrin.h>
 #else
-#define APX_SQ8_X86_DISPATCH 0
+#define APX_X86_DISPATCH 0
 #endif
 
 namespace apx {
@@ -42,6 +44,17 @@ inline float dot_kernel(const float* __restrict a, const float* __restrict b,
   return s;
 }
 
+// The scalar tail of l2_sq_kernel (and of its AVX2 twin below),
+// continuing from the reduced sum `s`.
+inline float l2_sq_tail(float s, const float* a, const float* b,
+                        std::size_t from, std::size_t n) noexcept {
+  for (std::size_t i = from; i < n; ++i) {
+    const float d = a[i] - b[i];
+    s += d * d;
+  }
+  return s;
+}
+
 inline float l2_sq_kernel(const float* __restrict a, const float* __restrict b,
                           std::size_t n) noexcept {
   float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
@@ -65,12 +78,8 @@ inline float l2_sq_kernel(const float* __restrict a, const float* __restrict b,
     s6 += d6 * d6;
     s7 += d7 * d7;
   }
-  float s = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    s += d * d;
-  }
-  return s;
+  return l2_sq_tail(((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), a, b,
+                    i, n);
 }
 
 // Same 8-accumulator shape as dot_kernel, but the second operand is a uint8
@@ -97,7 +106,61 @@ inline float dot_u8_kernel(const float* __restrict a,
   return s;
 }
 
-#if APX_SQ8_X86_DISPATCH
+#if APX_X86_DISPATCH
+
+// One 8-lane step of l2_sq_kernel's chains: acc += (q - r) * (q - r).
+__attribute__((target("avx2"))) inline __m256 l2_sq_step_avx2(
+    __m256 acc, const float* q, const float* r) noexcept {
+  const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(q), _mm256_loadu_ps(r));
+  return _mm256_add_ps(acc, _mm256_mul_ps(d, d));
+}
+
+// Bit-exact AVX2 twin of l2_sq_kernel over gathered rows. Lane j of a row's
+// accumulator runs exactly the portable s_j chain (sub, then mul, then add),
+// the hadd ladder reduces in its ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)) order,
+// and the scalar tail follows. No FMA: the target leaves out "fma", and the
+// library builds with -ffp-contract=off. Blocks of four rows share the query
+// loads and give four independent add chains, where one row's chain leaves
+// the adder idle on its latency; the last n mod 4 rows run the portable
+// kernel itself.
+__attribute__((target("avx2"))) void l2_sq_gather_avx2(
+    std::span<const float> q, const float* arena,
+    std::span<const std::uint32_t> slots, float* out) noexcept {
+  const std::size_t dim = q.size();
+  const std::size_t body = dim - dim % 8;
+  const float* qp = q.data();
+  std::size_t i = 0;
+  for (; i + 4 <= slots.size(); i += 4) {
+    const float* r0 = arena + static_cast<std::size_t>(slots[i + 0]) * dim;
+    const float* r1 = arena + static_cast<std::size_t>(slots[i + 1]) * dim;
+    const float* r2 = arena + static_cast<std::size_t>(slots[i + 2]) * dim;
+    const float* r3 = arena + static_cast<std::size_t>(slots[i + 3]) * dim;
+    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
+    for (std::size_t j = 0; j < body; j += 8) {
+      a0 = l2_sq_step_avx2(a0, qp + j, r0 + j);
+      a1 = l2_sq_step_avx2(a1, qp + j, r1 + j);
+      a2 = l2_sq_step_avx2(a2, qp + j, r2 + j);
+      a3 = l2_sq_step_avx2(a3, qp + j, r3 + j);
+    }
+    // hadd(a, b) holds {a0+a1, a2+a3, b0+b1, b2+b3} per 128-bit half, so
+    // two rounds leave row r's ((s0+s1)+(s2+s3)) in lane r of the low half
+    // and its ((s4+s5)+(s6+s7)) in lane r of the high half.
+    const __m256 t = _mm256_hadd_ps(_mm256_hadd_ps(a0, a1),
+                                    _mm256_hadd_ps(a2, a3));
+    alignas(16) float sums[4];
+    _mm_store_ps(sums, _mm_add_ps(_mm256_castps256_ps128(t),
+                                  _mm256_extractf128_ps(t, 1)));
+    out[i + 0] = l2_sq_tail(sums[0], qp, r0, body, dim);
+    out[i + 1] = l2_sq_tail(sums[1], qp, r1, body, dim);
+    out[i + 2] = l2_sq_tail(sums[2], qp, r2, body, dim);
+    out[i + 3] = l2_sq_tail(sums[3], qp, r3, body, dim);
+  }
+  for (; i < slots.size(); ++i) {
+    out[i] = l2_sq_kernel(
+        qp, arena + static_cast<std::size_t>(slots[i]) * dim, dim);
+  }
+}
 
 __attribute__((target("avx2,fma"))) inline float dot_u8_avx2(
     const float* __restrict a, const std::uint8_t* __restrict b,
@@ -320,9 +383,13 @@ __attribute__((target("avx512f,avx2,fma"))) void adc_l2_sq_gather_avx512(
 
 #pragma GCC diagnostic pop
 
-bool cpu_has_avx2_fma() noexcept {
+bool cpu_has_avx2() noexcept {
   __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2");
+}
+
+bool cpu_has_avx2_fma() noexcept {
+  return cpu_has_avx2() && __builtin_cpu_supports("fma");
 }
 
 bool cpu_has_avx512() noexcept {
@@ -330,7 +397,7 @@ bool cpu_has_avx512() noexcept {
   return __builtin_cpu_supports("avx512f") && cpu_has_avx2_fma();
 }
 
-#endif  // APX_SQ8_X86_DISPATCH
+#endif  // APX_X86_DISPATCH
 
 }  // namespace
 
@@ -426,6 +493,13 @@ void l2_sq_batch(std::span<const float> q, const float* rows, std::size_t n,
 
 void l2_sq_gather(std::span<const float> q, const float* arena,
                   std::span<const std::uint32_t> slots, float* out) noexcept {
+#if APX_X86_DISPATCH
+  static const bool kAvx2 = cpu_has_avx2();
+  if (kAvx2) {
+    l2_sq_gather_avx2(q, arena, slots, out);
+    return;
+  }
+#endif
   const std::size_t dim = q.size();
   for (std::size_t i = 0; i < slots.size(); ++i) {
     out[i] = l2_sq_kernel(q.data(), arena + slots[i] * dim, dim);
@@ -433,7 +507,7 @@ void l2_sq_gather(std::span<const float> q, const float* arena,
 }
 
 float dot_u8(std::span<const float> a, const std::uint8_t* codes) noexcept {
-#if APX_SQ8_X86_DISPATCH
+#if APX_X86_DISPATCH
   static const bool kAvx2 = cpu_has_avx2_fma();
   if (kAvx2) return dot_u8_avx2(a.data(), codes, a.size());
 #endif
@@ -445,7 +519,7 @@ void adc_l2_sq_gather(std::span<const float> q, float q_norm_sq, float q_sum,
                       const float* scales, const float* recon_norm_sqs,
                       std::span<const std::uint32_t> slots,
                       float* out) noexcept {
-#if APX_SQ8_X86_DISPATCH
+#if APX_X86_DISPATCH
   static const bool kAvx512 = cpu_has_avx512();
   if (kAvx512) {
     adc_l2_sq_gather_avx512(q, q_norm_sq, q_sum, code_arena, offsets, scales,

@@ -1,12 +1,15 @@
 // Unit tests for the edge aggregation tier (src/edge): shard routing
 // determinism, the error-controlled admission gate, TTL expiry exactly at
 // the sim-clock boundary, per-shard capacity eviction, and byte-identical
-// same-seed metrics exports with the edge rung enabled.
+// same-seed metrics exports with the edge rung enabled, and the query path
+// (shared-lock answer, deferred fold) alone and under concurrent callers.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "src/core/pipeline.hpp"
@@ -296,6 +299,113 @@ TEST(EdgeCapacity, EvictionIsPerShard) {
   }
   EXPECT_EQ(sharded.size(), total);
   EXPECT_GT(total, p.capacity);  // the split actually spread the keys
+}
+
+// ------------------------------------------------------------- query path
+
+/// `axis(i)` plus Gaussian noise of scale `sigma`: keys that cluster by axis.
+FeatureVec noisy_axis(std::size_t i, float sigma, std::mt19937& rng) {
+  std::normal_distribution<float> noise{0.0f, sigma};
+  FeatureVec v = axis(i);
+  for (float& x : v) x += noise(rng);
+  return v;
+}
+
+TEST(EdgeQuery, LoneQueryLandsItsEffectsLikeLookup) {
+  // query() answers on the shared lock and folds afterwards; with one
+  // caller the fold always lands before it returns, so touches, hit/miss
+  // tallies and the index feedback match ApproxCache::lookup exactly. The
+  // default A-LSH index makes the feedback (width controller) part of it.
+  EdgeParams p;
+  p.shards = 1;
+  p.capacity = 64;
+  p.cache.hknn.max_distance = 0.3f;
+  EdgeCacheService svc{kDim, p};
+  ApproxCacheConfig cfg = p.cache;
+  cfg.capacity = p.capacity;
+  ApproxCache ref{kDim, cfg, make_utility_policy()};
+  ApproxCache& shard = svc.shard(0);
+
+  std::mt19937 rng{5};
+  for (std::size_t i = 0; i < 48; ++i) {
+    const FeatureVec v = noisy_axis(i, 0.03f, rng);
+    const auto label = static_cast<Label>(i % kDim);
+    const auto now = static_cast<SimTime>(i);
+    ASSERT_EQ(shard.insert(v, label, 0.9f, now),
+              ref.insert(v, label, 0.9f, now));
+  }
+  for (std::size_t n = 0; n < 60; ++n) {
+    // Every third key sits between two axes, out of range: a miss.
+    FeatureVec q = noisy_axis(n, 0.03f, rng);
+    if (n % 3 == 0) q[(n + 1) % kDim] += 1.0f;
+    const auto now = static_cast<SimTime>(1000 + n);
+    const CacheResult got = svc.query(q, now);
+    const CacheResult want = ref.lookup({.features = q, .now = now});
+    ASSERT_EQ(got.vote.has_value(), want.vote.has_value()) << "query " << n;
+    if (want.vote.has_value()) {
+      EXPECT_EQ(got.vote->label, want.vote->label);
+    }
+    EXPECT_EQ(got.latency, want.latency);
+    EXPECT_EQ(got.candidates, want.candidates);
+    // Visible right after the call, not at some later fold.
+    EXPECT_EQ(shard.counters().get("hit"), ref.counters().get("hit"));
+    EXPECT_EQ(shard.counters().get("miss"), ref.counters().get("miss"));
+    ref.for_each([&](const CacheEntry& e) {
+      const CacheEntry* mine = shard.find(e.id);
+      ASSERT_NE(mine, nullptr);
+      EXPECT_EQ(mine->last_access, e.last_access) << "entry " << e.id;
+      EXPECT_EQ(mine->access_count, e.access_count) << "entry " << e.id;
+    });
+  }
+  EXPECT_GT(ref.counters().get("hit"), 0u);
+  EXPECT_GT(ref.counters().get("miss"), 0u);
+}
+
+TEST(EdgeQuery, ConcurrentCallersLeaveNothingPending) {
+  // Queries that find the write lock busy leave their effects in a pooled
+  // scratch; the last caller out of a shard folds them. After join every
+  // lookup must have landed its hit or miss.
+  EdgeParams p;
+  p.shards = 2;
+  p.capacity = 128;
+  p.error_budget = 1.0f;
+  p.ttl = 5'000;
+  p.cache.hknn.max_distance = 0.5f;
+  EdgeCacheService svc{kDim, p};
+
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 400;
+  std::atomic<std::uint64_t> queries{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&svc, &queries, t] {
+      std::mt19937 rng{static_cast<std::uint32_t>(70 + t)};
+      std::uniform_real_distribution<float> dice{0.0f, 1.0f};
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const auto now = static_cast<SimTime>(op) * 50;
+        const auto i = static_cast<std::size_t>(op + t);
+        const float roll = dice(rng);
+        if (roll < 0.8f) {
+          (void)svc.query(noisy_axis(i, 0.05f, rng), now);
+          queries.fetch_add(1, std::memory_order_relaxed);
+        } else if (roll < 0.95f) {
+          (void)svc.feed(noisy_axis(i, 0.05f, rng),
+                         static_cast<Label>(i % kDim), 0.9f, now);
+        } else {
+          (void)svc.sweep(now);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  EXPECT_EQ(svc.counters().get("lookup"), queries.load());
+  std::uint64_t answered = 0;
+  for (std::size_t s = 0; s < svc.shard_count(); ++s) {
+    answered += svc.shard(s).counters().get("hit") +
+                svc.shard(s).counters().get("miss");
+  }
+  EXPECT_EQ(answered, queries.load());
 }
 
 // ---------------------------------------------------------------- pipeline

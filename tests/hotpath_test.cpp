@@ -1,6 +1,9 @@
 // Hot-path overhaul guards (see ISSUE 1 / bench_m2_hotpath):
 //  - unrolled/batched vecmath kernels match the scalar references within
-//    1e-4 across random dims, including non-multiple-of-8 tails;
+//    1e-4 across random dims, including non-multiple-of-8 tails, and the
+//    dispatched l2_sq_gather matches the portable l2_sq bit for bit;
+//  - the top-k select keeps exactly what a partial_sort by (distance, id)
+//    keeps, exact ties included;
 //  - steady-state LSH queries via query_into perform zero heap allocations
 //    (verified with a counting global allocator);
 //  - the parallel simulation runner produces metrics bit-identical to the
@@ -10,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "src/ann/lsh.hpp"
@@ -34,21 +40,22 @@ namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Neither these nor the deletes below are inlined: gcc would otherwise see
+// the malloc() or free() at a call site next to the operator it pairs with
+// and report -Wmismatched-new-delete (the news at -O3), though both
+// replacements go through malloc/free.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
 
-// Not inlined: gcc would otherwise see the free() at a call site next to
-// the operator new it pairs with and report -Wmismatched-new-delete, though
-// both replacements go through malloc/free.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
@@ -113,6 +120,134 @@ TEST(Kernels, BatchedVariantsMatchPerRowReference) {
     l2_sq_gather(q, rows.data(), slots, out_gather.data());
     for (std::size_t i = 0; i < slots.size(); ++i) {
       EXPECT_FLOAT_EQ(out_gather[i], out_l2[slots[i]]);
+    }
+  }
+}
+
+/// Bit-for-bit float equality; any NaN matches any NaN (payloads are not
+/// part of the result, and they depend on operand order in the hardware).
+bool same_bits(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+TEST(Kernels, GatherIsBitIdenticalToPortableL2Sq) {
+  // l2_sq_gather may dispatch to a 4-row AVX2 twin; the simulation's
+  // goldens rely on it returning exactly l2_sq's bits. Dims straddle the
+  // 8-lane body, slot counts cover every n mod 4, and magnitudes reach
+  // subnormal squares, overflow to inf, and NaN.
+  Rng rng{303};
+  const float scales[] = {1.0f, 1e-21f, 1e-40f, 3e19f, 1e30f};
+  std::size_t rows_checked = 0;
+  for (const std::size_t dim :
+       {1u, 3u, 7u, 8u, 9u, 15u, 16u, 24u, 31u, 64u, 65u, 128u, 131u, 256u}) {
+    const std::size_t arena_rows = 12;
+    for (const float scale : scales) {
+      FeatureVec q(dim);
+      for (float& x : q) x = static_cast<float>(rng.normal()) * scale;
+      std::vector<float> arena(arena_rows * dim);
+      for (float& x : arena) x = static_cast<float>(rng.normal()) * scale;
+      if (scale == scales[0] && dim > 2) {
+        arena[5 * dim + dim / 2] = std::numeric_limits<float>::quiet_NaN();
+        arena[7 * dim + dim - 1] = std::numeric_limits<float>::infinity();
+      }
+      for (std::size_t n = 0; n <= 11; ++n) {
+        // Repeated slots included: a block may hold the same row twice.
+        std::vector<std::uint32_t> slots(n);
+        for (auto& s : slots) {
+          s = static_cast<std::uint32_t>(rng.uniform_u64(arena_rows));
+        }
+        std::vector<float> out(n);
+        l2_sq_gather(q, arena.data(), slots, out.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          const float want =
+              l2_sq(q, {arena.data() + slots[i] * dim, dim});
+          EXPECT_TRUE(same_bits(out[i], want))
+              << "dim=" << dim << " scale=" << scale << " n=" << n
+              << " i=" << i << ": " << out[i] << " vs " << want;
+          ++rows_checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rows_checked, 4000u);
+}
+
+// ------------------------------------------------------- top-k select
+
+/// The select's reference: every row as a Neighbor, partial_sort by
+/// (distance, id), first k kept.
+std::vector<Neighbor> partial_sort_reference(const std::vector<float>& sq,
+                                             const std::vector<VecId>& ids,
+                                             std::size_t k) {
+  std::vector<Neighbor> all;
+  for (std::size_t i = 0; i < sq.size(); ++i) {
+    all.push_back({ids[i], std::sqrt(sq[i])});
+  }
+  const std::size_t take = std::min(k, all.size());
+  std::partial_sort(all.begin(),
+                    all.begin() + static_cast<std::ptrdiff_t>(take),
+                    all.end(), closer);
+  all.resize(take);
+  return all;
+}
+
+TEST(TopKSelect, MatchesPartialSortUnderExactTies) {
+  Rng rng{404};
+  std::vector<Neighbor> out;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = rng.uniform_u64(40);
+    // Few distinct values, so most rows tie; a squared distance and its
+    // float successor often share one sqrt, which ties only after the
+    // root is taken.
+    std::vector<float> levels;
+    for (int l = 0; l < 4; ++l) {
+      const float v = static_cast<float>(rng.uniform(0.0, 2.0));
+      levels.push_back(v);
+      levels.push_back(std::nextafter(v, 3.0f));
+    }
+    levels.push_back(0.0f);
+    levels.push_back(std::numeric_limits<float>::infinity());
+    std::vector<float> sq(n);
+    std::vector<VecId> ids(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sq[i] = levels[rng.uniform_u64(levels.size())];
+      ids[i] = i * 7 + 3;
+    }
+    rng.shuffle(ids);  // ids unique, in no particular order
+    const std::size_t k = rng.uniform_u64(n + 3);
+    select_nearest(sq, k, [&](std::size_t i) { return ids[i]; }, out);
+    const std::vector<Neighbor> want = partial_sort_reference(sq, ids, k);
+    ASSERT_EQ(out.size(), want.size()) << "trial " << trial;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(out[j].id, want[j].id) << "trial " << trial << " rank " << j;
+      EXPECT_TRUE(same_bits(out[j].distance, want[j].distance));
+    }
+  }
+}
+
+TEST(TopKSelect, LshQueryOrdersDuplicateVectorsById) {
+  // Copies of one vector hash into one bucket and score identically: the
+  // query must return the lowest ids, ascending, as the reference does.
+  LshParams params;
+  params.num_tables = 3;
+  params.probes_per_table = 1;
+  PStableLshIndex index{16, params};
+  Rng rng{505};
+  const FeatureVec base = random_vec(rng, 16);
+  const std::vector<VecId> dup_ids = {41, 7, 93, 12, 58, 3, 77};
+  for (const VecId id : dup_ids) index.insert(id, base);
+  for (VecId id = 100; id < 400; ++id) index.insert(id, random_vec(rng, 16));
+
+  const std::vector<float> zeros(dup_ids.size(), 0.0f);
+  for (const std::size_t k : {1u, 3u, 6u, 7u}) {
+    const std::vector<Neighbor> got = index.query(base, k);
+    const std::vector<Neighbor> want =
+        partial_sort_reference(zeros, dup_ids, k);
+    ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(got[j].id, want[j].id) << "k=" << k << " rank " << j;
+      EXPECT_EQ(got[j].distance, 0.0f);
     }
   }
 }

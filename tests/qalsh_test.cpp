@@ -32,12 +32,12 @@ namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
@@ -55,9 +55,10 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 
-// Not inlined: gcc would otherwise see the free() at a call site next to
-// the operator new it pairs with and report -Wmismatched-new-delete, though
-// both replacements go through malloc/free.
+// Not inlined, like the throwing news above: gcc would otherwise see the
+// malloc() or free() at a call site next to the operator it pairs with and
+// report -Wmismatched-new-delete, though both replacements go through
+// malloc/free.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {

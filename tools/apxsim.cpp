@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
     }
     if (key == "quantize-wire" || key == "real-classifier" ||
         key == "compare" || key == "csv" || key == "metrics") {
-      args.values[key] = "1";
+      args.values[key] = std::string(1, '1');
     } else if (i + 1 < argc) {
       args.values[key] = argv[++i];
     } else {

@@ -29,7 +29,7 @@ python3 perfbench/test_smoke.py
 # named preset plus the warm-tier ladder (2-device scenario), validating
 # each JSON export against the checked-in schema. The `full` leg keeps the
 # original longer duration as the primary metrics-export smoke check.
-cmake --preset release
+cmake --preset release -DAPX_WERROR=ON
 cmake --build --preset release -j --target apxsim
 
 validate_metrics() {
